@@ -9,13 +9,17 @@ type 'tag edge = {
   tag : 'tag;
 }
 
+type csr = { offsets : int array; edge_ids : edge_id array; dsts : int array }
+
 type 'tag t = {
   n : int;
   mutable edges_rev : 'tag edge list;  (* newest first *)
   mutable count : int;
-  out_adj : edge_id list array;  (* newest first; reversed on read *)
-  in_adj : edge_id list array;
-  mutable cache : 'tag edge array option;  (* id-indexed, built lazily *)
+  in_adj : edge_id list array;  (* newest first; reversed on read *)
+  (* Built lazily and dropped by [add_edge]. *)
+  mutable cache : 'tag edge array option;  (* id-indexed *)
+  mutable csr : csr option;
+  mutable costs : float array option;  (* id-indexed *)
 }
 
 let create ~n =
@@ -24,9 +28,10 @@ let create ~n =
     n;
     edges_rev = [];
     count = 0;
-    out_adj = Array.make (max n 1) [];
     in_adj = Array.make (max n 1) [];
     cache = None;
+    csr = None;
+    costs = None;
   }
 
 let add_edge t ~src ~dst ~capacity ~cost tag =
@@ -37,20 +42,24 @@ let add_edge t ~src ~dst ~capacity ~cost tag =
   let e = { id; src; dst; capacity; cost; tag } in
   t.edges_rev <- e :: t.edges_rev;
   t.count <- t.count + 1;
-  t.out_adj.(src) <- id :: t.out_adj.(src);
   t.in_adj.(dst) <- id :: t.in_adj.(dst);
   t.cache <- None;
+  t.csr <- None;
+  t.costs <- None;
   id
 
 let n_vertices t = t.n
 let n_edges t = t.count
 
+let edges t = List.rev t.edges_rev
+
+(* Ids are dense and assigned in insertion order, so the insertion-order
+   list is already id-indexed. *)
 let edge_array t =
   match t.cache with
   | Some a -> a
   | None ->
-      let a = Array.make (max t.count 1) (List.hd t.edges_rev) in
-      List.iter (fun e -> a.(e.id) <- e) t.edges_rev;
+      let a = Array.of_list (edges t) in
       t.cache <- Some a;
       a
 
@@ -58,11 +67,45 @@ let edge t id =
   assert (id >= 0 && id < t.count);
   (edge_array t).(id)
 
-let out_edges t v = List.rev t.out_adj.(v)
+(* Counting sort by source.  Walking the newest-first list and filling
+   each vertex's slots from the back leaves them in insertion order. *)
+let out_csr t =
+  match t.csr with
+  | Some c -> c
+  | None ->
+      let offsets = Array.make (t.n + 1) 0 in
+      List.iter (fun e -> offsets.(e.src + 1) <- offsets.(e.src + 1) + 1) t.edges_rev;
+      for v = 1 to t.n do
+        offsets.(v) <- offsets.(v) + offsets.(v - 1)
+      done;
+      let edge_ids = Array.make t.count 0 and dsts = Array.make t.count 0 in
+      let next = Array.sub offsets 1 t.n in
+      List.iter
+        (fun e ->
+          let i = next.(e.src) - 1 in
+          next.(e.src) <- i;
+          edge_ids.(i) <- e.id;
+          dsts.(i) <- e.dst)
+        t.edges_rev;
+      let c = { offsets; edge_ids; dsts } in
+      t.csr <- Some c;
+      c
+
+let costs t =
+  match t.costs with
+  | Some c -> c
+  | None ->
+      let c = Array.map (fun e -> e.cost) (edge_array t) in
+      t.costs <- Some c;
+      c
+
+let out_edges t v =
+  let c = out_csr t in
+  List.init (c.offsets.(v + 1) - c.offsets.(v)) (fun i -> c.edge_ids.(c.offsets.(v) + i))
+
 let in_edges t v = List.rev t.in_adj.(v)
-let edges t = List.rev t.edges_rev
-let iter_edges f t = List.iter f (edges t)
-let fold_edges f acc t = List.fold_left f acc (edges t)
+let iter_edges f t = Array.iter f (edge_array t)
+let fold_edges f acc t = Array.fold_left f acc (edge_array t)
 
 let filter t pred =
   let g = create ~n:t.n in

@@ -35,6 +35,24 @@ val edge : 'tag t -> edge_id -> 'tag edge
 val out_edges : 'tag t -> int -> edge_id list
 (** Edge ids leaving a vertex, in insertion order. *)
 
+type csr = private {
+  offsets : int array;
+      (** Length [n + 1]; vertex [v]'s out-edges occupy slots
+          [offsets.(v)] to [offsets.(v + 1) - 1]. *)
+  edge_ids : edge_id array;  (** Edge id in each slot. *)
+  dsts : int array;  (** Head vertex of each slot's edge. *)
+}
+(** Flat out-adjacency (compressed sparse rows): the same edges, in
+    the same order, as {!out_edges}, but readable without allocating.
+    Callers must not write to the arrays. *)
+
+val out_csr : 'tag t -> csr
+(** Built on first use and cached until the next {!add_edge}. *)
+
+val costs : 'tag t -> float array
+(** Every edge's [cost], indexed by id; cached like {!out_csr}, and
+    likewise read-only. *)
+
 val in_edges : 'tag t -> int -> edge_id list
 val edges : 'tag t -> 'tag edge list
 (** All edges in insertion order. *)

@@ -10,13 +10,29 @@ let total_throughput r = Array.fold_left ( +. ) 0.0 r.routed
 
 let m_phases = Rwc_obs.Metrics.counter "mcf/phases"
 let m_paths = Rwc_obs.Metrics.counter "mcf/augmenting_paths"
+let m_phase_cap_hits = Rwc_obs.Metrics.counter "mcf/phase_cap_hits"
+
+let max_phases = 10_000
+
+(* The dual objective sum_e length(e) * c(e) over usable edges, summed
+   in edge-id order, compared with 1.  A bool, not the float sum, so the
+   call allocates nothing. *)
+let dual_below_one length cap =
+  let acc = ref 0.0 in
+  for e = 0 to Array.length length - 1 do
+    if cap.(e) > 0.0 then acc := !acc +. (length.(e) *. cap.(e))
+  done;
+  !acc < 1.0
 
 (* Fleischer's phase variant of Garg-Könemann.  Edge lengths start at
    delta / capacity and are multiplied by (1 + eps * f / c) whenever f
    units are pushed; phases route each commodity's full demand along
    successively longer paths.  On termination the accumulated flow is
    scaled down by the worst congestion so it becomes feasible, and
-   lambda is the resulting common fraction of demand shipped. *)
+   lambda is the resulting common fraction of demand shipped.
+
+   No augmenting path allocates: lengths and capacities live in float
+   arrays and every shortest path reuses one Dijkstra workspace. *)
 let solve ?(epsilon = 0.1) g commodities =
   assert (epsilon > 0.0 && epsilon <= 0.5);
   Array.iter
@@ -35,8 +51,7 @@ let solve ?(epsilon = 0.1) g commodities =
       (fun e ->
         usable_cap.(e.Graph.id) <- e.Graph.capacity;
         (* Zero-capacity edges are excluded via the [usable] filter in
-           every shortest-path call, so their length is irrelevant —
-           but it must stay finite for the graph construction. *)
+           every shortest-path call, so their length is irrelevant. *)
         length.(e.Graph.id) <-
           (if e.Graph.capacity > 0.0 then delta /. e.Graph.capacity else 0.0))
       g;
@@ -44,50 +59,49 @@ let solve ?(epsilon = 0.1) g commodities =
        to its own demand independently at the end. *)
     let com_flow = Array.make_matrix n_com (max 1 m) 0.0 in
     let routed_raw = Array.make n_com 0.0 in
-    let dual () =
-      Graph.fold_edges
-        (fun acc e ->
-          if usable_cap.(e.Graph.id) > 0.0 then
-            acc +. (length.(e.Graph.id) *. usable_cap.(e.Graph.id))
-          else acc)
-        0.0 g
-    in
+    let ws = Shortest.Workspace.create g in
+    let usable eid = usable_cap.(eid) > 0.0 in
     let phases = ref 0 in
-    let max_phases = 10_000 in
-    while dual () < 1.0 && !phases < max_phases do
+    (* A phase that finds no path changes no state, so every later
+       phase would repeat it: stop instead of spinning to the cap. *)
+    let stalled = ref false in
+    while (not !stalled) && dual_below_one length usable_cap && !phases < max_phases do
       incr phases;
       Rwc_obs.Metrics.incr m_phases;
-      Array.iteri
-        (fun j c ->
-          let remaining = ref c.demand in
-          (* Shortest path under the current length function — passed
-             as a cost override so the graph is never rebuilt;
-             zero-capacity edges are unusable. *)
-          let usable eid = usable_cap.(eid) > 0.0 in
-          let len eid = length.(eid) in
-          while !remaining > 1e-12 && dual () < 1.0 do
-            match Shortest.dijkstra ~usable ~cost:len g ~src:c.src ~dst:c.dst with
-            | None -> remaining := 0.0
-            | Some path ->
-                Rwc_obs.Metrics.incr m_paths;
-                let bottleneck =
-                  List.fold_left
-                    (fun acc eid -> Float.min acc usable_cap.(eid))
-                    infinity path
-                in
-                let f = Float.min !remaining bottleneck in
-                List.iter
-                  (fun eid ->
-                    com_flow.(j).(eid) <- com_flow.(j).(eid) +. f;
-                    length.(eid) <-
-                      length.(eid)
-                      *. (1.0 +. (epsilon *. f /. usable_cap.(eid))))
-                  path;
-                routed_raw.(j) <- routed_raw.(j) +. f;
-                remaining := !remaining -. f
-          done)
-        commodities
+      let routed_any = ref false in
+      for j = 0 to n_com - 1 do
+        let c = commodities.(j) and cf = com_flow.(j) in
+        let remaining = ref c.demand in
+        while !remaining > 1e-12 && dual_below_one length usable_cap do
+          if not (Shortest.Workspace.dijkstra ws g ~usable ~length ~src:c.src ~dst:c.dst)
+          then remaining := 0.0
+          else begin
+            Rwc_obs.Metrics.incr m_paths;
+            routed_any := true;
+            let hops = Shortest.Workspace.path_length ws in
+            (* Capacities on a path are positive and finite, so plain
+               comparisons pick the same values Float.min would. *)
+            let bottleneck = ref infinity in
+            for i = 0 to hops - 1 do
+              let cap = usable_cap.(Shortest.Workspace.path_edge ws i) in
+              if cap < !bottleneck then bottleneck := cap
+            done;
+            let f = if !remaining < !bottleneck then !remaining else !bottleneck in
+            for i = 0 to hops - 1 do
+              let eid = Shortest.Workspace.path_edge ws i in
+              cf.(eid) <- cf.(eid) +. f;
+              length.(eid) <-
+                length.(eid) *. (1.0 +. (epsilon *. f /. usable_cap.(eid)))
+            done;
+            routed_raw.(j) <- routed_raw.(j) +. f;
+            remaining := !remaining -. f
+          end
+        done
+      done;
+      stalled := not !routed_any
     done;
+    if (not !stalled) && dual_below_one length usable_cap then
+      Rwc_obs.Metrics.incr m_phase_cap_hits;
     (* Scale to feasibility: first a global factor bringing the worst
        edge back within capacity, then a per-commodity cap so nobody
        ships more than its demand (phases over-route when the network

@@ -8,96 +8,153 @@ let path_capacity g p =
     (fun acc e -> Float.min acc (Graph.edge g e).Graph.capacity)
     infinity p
 
-module Pq = struct
-  type 'a t = { mutable data : (float * 'a) array; mutable size : int }
+(* Dijkstra over a reusable workspace.  The heap is a binary min-heap
+   of (priority, vertex) stored as two parallel arrays, so pushing and
+   popping allocate nothing; its sift-up/sift-down discipline and the
+   1e-12 slack in the pop and relax tests fix the pop order, and with it
+   which of several equal-cost paths is returned.  Each vertex is
+   finalized once and relaxes each of its out-edges at most once, so the
+   heap never holds more than m + 1 entries.  It starts at n + 1 slots
+   and doubles when full, which keeps a one-shot search off the major
+   heap; a reused workspace stops growing after its first searches. *)
+module Workspace = struct
+  type t = {
+    dist : float array;
+    prev : Graph.edge_id array;  (* edge into each vertex on its best path *)
+    visited : bool array;
+    mutable prio : float array;  (* heap *)
+    mutable vertex : int array;
+    mutable size : int;
+    path : Graph.edge_id array;
+    mutable path_len : int;
+  }
 
-  let create () = { data = [||]; size = 0 }
-  let is_empty q = q.size = 0
+  let create g =
+    let n = max 1 (Graph.n_vertices g) in
+    {
+      dist = Array.make n infinity;
+      prev = Array.make n (-1);
+      visited = Array.make n false;
+      prio = Array.make (n + 1) 0.0;
+      vertex = Array.make (n + 1) 0;
+      size = 0;
+      path = Array.make n 0;
+      path_len = 0;
+    }
 
-  let push q prio x =
-    if q.size = Array.length q.data then begin
-      let cap = max 32 (2 * q.size) in
-      let bigger = Array.make cap (prio, x) in
-      Array.blit q.data 0 bigger 0 q.size;
-      q.data <- bigger
-    end;
-    q.data.(q.size) <- (prio, x);
-    q.size <- q.size + 1;
-    let i = ref (q.size - 1) in
-    while !i > 0 && fst q.data.((!i - 1) / 2) > fst q.data.(!i) do
-      let p = (!i - 1) / 2 in
-      let tmp = q.data.(p) in
-      q.data.(p) <- q.data.(!i);
-      q.data.(!i) <- tmp;
-      i := p
+  let grow ws =
+    let slots = 2 * Array.length ws.vertex in
+    let prio = Array.make slots 0.0 and vertex = Array.make slots 0 in
+    Array.blit ws.prio 0 prio 0 ws.size;
+    Array.blit ws.vertex 0 vertex 0 ws.size;
+    ws.prio <- prio;
+    ws.vertex <- vertex
+
+  let[@inline] swap ws i j =
+    let p = ws.prio.(i) and v = ws.vertex.(i) in
+    ws.prio.(i) <- ws.prio.(j);
+    ws.vertex.(i) <- ws.vertex.(j);
+    ws.prio.(j) <- p;
+    ws.vertex.(j) <- v
+
+  let[@inline] push ws p v =
+    if ws.size = Array.length ws.vertex then grow ws;
+    let i = ref ws.size in
+    ws.prio.(!i) <- p;
+    ws.vertex.(!i) <- v;
+    ws.size <- ws.size + 1;
+    while !i > 0 && ws.prio.((!i - 1) / 2) > ws.prio.(!i) do
+      let parent = (!i - 1) / 2 in
+      swap ws parent !i;
+      i := parent
     done
 
-  let pop q =
-    assert (q.size > 0);
-    let top = q.data.(0) in
-    q.size <- q.size - 1;
-    q.data.(0) <- q.data.(q.size);
+  (* Drops the minimum; read it from slot 0 first. *)
+  let[@inline] pop ws =
+    ws.size <- ws.size - 1;
+    ws.prio.(0) <- ws.prio.(ws.size);
+    ws.vertex.(0) <- ws.vertex.(ws.size);
     let i = ref 0 and looping = ref true in
     while !looping do
       let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
       let s = ref !i in
-      if l < q.size && fst q.data.(l) < fst q.data.(!s) then s := l;
-      if r < q.size && fst q.data.(r) < fst q.data.(!s) then s := r;
+      if l < ws.size && ws.prio.(l) < ws.prio.(!s) then s := l;
+      if r < ws.size && ws.prio.(r) < ws.prio.(!s) then s := r;
       if !s = !i then looping := false
       else begin
-        let tmp = q.data.(!i) in
-        q.data.(!i) <- q.data.(!s);
-        q.data.(!s) <- tmp;
+        swap ws !i !s;
         i := !s
       end
+    done
+
+  let dijkstra ws g ~usable ~length ~src ~dst =
+    let n = Graph.n_vertices g in
+    let adj = Graph.out_csr g in
+    assert (n <= Array.length ws.dist);
+    assert (Graph.n_edges g <= Array.length length);
+    Array.fill ws.dist 0 n infinity;
+    Array.fill ws.prev 0 n (-1);
+    Array.fill ws.visited 0 n false;
+    ws.size <- 0;
+    ws.path_len <- 0;
+    ws.dist.(src) <- 0.0;
+    push ws 0.0 src;
+    while ws.size > 0 && not ws.visited.(dst) do
+      let d = ws.prio.(0) and v = ws.vertex.(0) in
+      pop ws;
+      if (not ws.visited.(v)) && d <= ws.dist.(v) +. 1e-12 then begin
+        ws.visited.(v) <- true;
+        if v <> dst then
+          for i = adj.Graph.offsets.(v) to adj.Graph.offsets.(v + 1) - 1 do
+            let eid = adj.Graph.edge_ids.(i) in
+            if usable eid then begin
+              let c = length.(eid) in
+              assert (c >= 0.0);
+              let w = adj.Graph.dsts.(i) in
+              let nd = ws.dist.(v) +. c in
+              if nd < ws.dist.(w) -. 1e-12 then begin
+                ws.dist.(w) <- nd;
+                ws.prev.(w) <- eid;
+                push ws nd w
+              end
+            end
+          done
+      end
     done;
-    top
+    if not (ws.dist.(dst) < infinity) then false
+    else begin
+      (* Walk back once to count the hops, again to fill the buffer. *)
+      let v = ref dst in
+      while !v <> src do
+        ws.path_len <- ws.path_len + 1;
+        v := (Graph.edge g ws.prev.(!v)).Graph.src
+      done;
+      v := dst;
+      for i = ws.path_len - 1 downto 0 do
+        let eid = ws.prev.(!v) in
+        ws.path.(i) <- eid;
+        v := (Graph.edge g eid).Graph.src
+      done;
+      true
+    end
+
+  let path_length ws = ws.path_len
+
+  let path_edge ws i =
+    assert (i >= 0 && i < ws.path_len);
+    ws.path.(i)
+
+  let path ws = Array.to_list (Array.sub ws.path 0 ws.path_len)
 end
 
 let dijkstra ?(usable = fun _ -> true) ?cost g ~src ~dst =
-  let edge_cost =
-    match cost with
-    | Some f -> f
-    | None -> fun eid -> (Graph.edge g eid).Graph.cost
+  let length =
+    match cost with Some f -> Array.init (Graph.n_edges g) f | None -> Graph.costs g
   in
-  let n = Graph.n_vertices g in
-  let dist = Array.make n infinity in
-  let prev = Array.make n (-1) in
-  let visited = Array.make n false in
-  dist.(src) <- 0.0;
-  let q = Pq.create () in
-  Pq.push q 0.0 src;
-  while not (Pq.is_empty q) && not visited.(dst) do
-    let d, v = Pq.pop q in
-    if (not visited.(v)) && d <= dist.(v) +. 1e-12 then begin
-      visited.(v) <- true;
-      if v <> dst then
-        List.iter
-          (fun eid ->
-            if usable eid then begin
-              let e = Graph.edge g eid in
-              let c = edge_cost eid in
-              assert (c >= 0.0);
-              let nd = dist.(v) +. c in
-              if nd < dist.(e.Graph.dst) -. 1e-12 then begin
-                dist.(e.Graph.dst) <- nd;
-                prev.(e.Graph.dst) <- eid;
-                Pq.push q nd e.Graph.dst
-              end
-            end)
-          (Graph.out_edges g v)
-    end
-  done;
-  if not (Float.is_finite dist.(dst)) then None
-  else begin
-    let rec rebuild v acc =
-      if v = src then acc
-      else
-        let eid = prev.(v) in
-        rebuild (Graph.edge g eid).Graph.src (eid :: acc)
-    in
-    Some (rebuild dst [])
-  end
+  let ws = Workspace.create g in
+  if Workspace.dijkstra ws g ~usable ~length ~src ~dst then
+    Some (Workspace.path ws)
+  else None
 
 let bellman_ford g ~src =
   let n = Graph.n_vertices g in
@@ -126,7 +183,12 @@ let bellman_ford g ~src =
 (* Yen's k-shortest loopless paths. *)
 let k_shortest g ~src ~dst ~k =
   assert (k >= 0);
-  match dijkstra g ~src ~dst with
+  let ws = Workspace.create g and length = Graph.costs g in
+  let shortest ~usable ~src =
+    if Workspace.dijkstra ws g ~usable ~length ~src ~dst then Some (Workspace.path ws)
+    else None
+  in
+  match shortest ~usable:(fun _ -> true) ~src with
   | None -> []
   | Some first ->
       let vertices_of p =
@@ -171,7 +233,7 @@ let k_shortest g ~src ~dst ~k =
             && (not (List.mem e.Graph.dst root_interior))
             && not (List.mem e.Graph.src root_interior)
           in
-          match dijkstra ~usable g ~src:spur ~dst with
+          match shortest ~usable ~src:spur with
           | None -> ()
           | Some spur_path -> add_candidate (root @ spur_path)
         done;

@@ -304,6 +304,210 @@ let test_gk_no_commodities () =
   let r = Multicommodity.solve g [||] in
   Alcotest.(check int) "no routed entries" 0 (Array.length r.Multicommodity.routed)
 
+(* --- TE kernel: bytes, stalls, caps, allocation ------------------------ *)
+
+(* MD5 of lambda, flow and routed as IEEE-754 bit patterns. *)
+let solve_digest (r : Multicommodity.result) =
+  let b = Buffer.create 1024 in
+  let add x = Buffer.add_string b (Printf.sprintf "%016Lx" (Int64.bits_of_float x)) in
+  add r.Multicommodity.lambda;
+  Buffer.add_char b '|';
+  Array.iter add r.Multicommodity.flow;
+  Buffer.add_char b '|';
+  Array.iter add r.Multicommodity.routed;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The first TE solve of a run on a synthetic fleet, built the way the
+   runner builds it: the day-one capacity graph, the top gravity
+   demands scaled to the offered load, and the default epsilon. *)
+let day_one ~ducts =
+  let module Runner = Rwc_sim.Runner in
+  let module Traffic = Rwc_topology.Traffic in
+  let c = Runner.default_config in
+  let backbone = Rwc_topology.Backbone.synthetic ~ducts ~seed:7 in
+  let net =
+    Rwc_sim.Netstate.make ~wavelengths:c.Runner.wavelengths ~seed:c.Runner.seed
+      backbone
+  in
+  let static_total =
+    float_of_int
+      (Array.length net.Rwc_sim.Netstate.ducts * c.Runner.wavelengths
+     * Rwc_optical.Modulation.default_gbps)
+  in
+  let demands =
+    Traffic.gravity_top_k backbone ~total_gbps:1.0 ~k:c.Runner.top_demands
+  in
+  let kept = List.fold_left (fun acc d -> acc +. d.Traffic.gbps) 0.0 demands in
+  let scale = c.Runner.demand_fraction *. static_total /. kept in
+  ( Rwc_sim.Netstate.graph net,
+    Traffic.to_commodities
+      (List.map (fun d -> { d with Traffic.gbps = d.Traffic.gbps *. scale }) demands),
+    c.Runner.epsilon )
+
+(* Small seeded instance [i]: 2-9 vertices, parallel and zero-capacity
+   edges, 1-5 commodities (some unreachable), a random epsilon. *)
+let random_instance i =
+  let module Rng = Rwc_stats.Rng in
+  let rng = Rng.substream (Rng.create 2017) i in
+  let n = 2 + Rng.int rng 8 in
+  let g = Graph.create ~n in
+  (* Each ordered pair gets an edge with probability 2/3, sometimes a
+     parallel twin; one edge in eight has zero capacity. *)
+  for s = 0 to n - 1 do
+    for d = 0 to n - 1 do
+      if s <> d && Rng.int rng 3 > 0 then
+        for _ = 0 to Rng.int rng 6 / 5 do
+          let capacity =
+            match Rng.int rng 8 with
+            | 0 -> 0.0
+            | 1 | 2 -> Rng.uniform rng ~lo:0.1 ~hi:30.0
+            | _ -> float_of_int (1 + Rng.int rng 20)
+          in
+          ignore (Graph.add_edge g ~src:s ~dst:d ~capacity ~cost:1.0 ())
+        done
+    done
+  done;
+  let coms =
+    Array.init (1 + Rng.int rng 5) (fun _ ->
+        let s = Rng.int rng n in
+        let d = (s + 1 + Rng.int rng (n - 1)) mod n in
+        { Multicommodity.src = s; dst = d; demand = Rng.uniform rng ~lo:0.5 ~hi:40.0 })
+  in
+  let epsilon = [| 0.05; 0.1; 0.2; 0.3; 0.5 |].(Rng.int rng 5) in
+  (g, coms, epsilon)
+
+(* Digests captured before the augmenting-path loop was made
+   allocation-free; any change to the order of floating-point
+   operations in the kernel shows up here. *)
+let test_mcf_golden_day_one ducts expected () =
+  let g, coms, epsilon = day_one ~ducts in
+  Alcotest.(check string)
+    (Printf.sprintf "day-one %d ducts" ducts)
+    expected
+    (solve_digest (Multicommodity.solve ~epsilon g coms))
+
+let test_mcf_golden_random () =
+  let digests =
+    List.init 200 (fun i ->
+        let g, coms, epsilon = random_instance i in
+        solve_digest (Multicommodity.solve ~epsilon g coms))
+  in
+  Alcotest.(check string) "200 random instances" "85b729443745337a84315a095e5346f3"
+    (Digest.to_hex (Digest.string (String.concat "" digests)))
+
+(* Runs [f] with metrics on and zeroed; returns its result and the
+   values of the named counters afterwards. *)
+let with_counters names f =
+  let module M = Rwc_obs.Metrics in
+  let was = M.enabled () in
+  M.enable ();
+  M.reset ();
+  Fun.protect
+    ~finally:(fun () -> if not was then M.disable ())
+    (fun () ->
+      let r = f () in
+      (r, List.map (fun n -> M.value (M.counter n)) names))
+
+let mcf_counters = [ "mcf/phases"; "mcf/augmenting_paths"; "mcf/phase_cap_hits" ]
+
+let test_mcf_stops_when_nothing_routable () =
+  (* Two 30-vertex halves with 290 edges each and no edge between them;
+     every commodity crosses the cut. *)
+  let rng = Rwc_stats.Rng.create 60 in
+  let g = Graph.create ~n:60 in
+  for k = 0 to 579 do
+    let base = 30 * (k mod 2) in
+    let s = Rwc_stats.Rng.int rng 30 in
+    let d = (s + 1 + Rwc_stats.Rng.int rng 29) mod 30 in
+    ignore
+      (Graph.add_edge g ~src:(base + s) ~dst:(base + d)
+         ~capacity:(float_of_int (1 + Rwc_stats.Rng.int rng 100))
+         ~cost:1.0 ())
+  done;
+  let coms =
+    Array.init 40 (fun j ->
+        let a = Rwc_stats.Rng.int rng 30 and b = 30 + Rwc_stats.Rng.int rng 30 in
+        let src, dst = if j mod 2 = 0 then (a, b) else (b, a) in
+        { Multicommodity.src; dst; demand = 10.0 })
+  in
+  let r, counts = with_counters mcf_counters (fun () -> Multicommodity.solve g coms) in
+  Alcotest.(check (float 0.0)) "lambda" 0.0 r.Multicommodity.lambda;
+  Alcotest.(check (list int)) "one phase, no paths, no cap hit" [ 1; 0; 0 ] counts
+
+let test_mcf_counts_phase_cap () =
+  (* A demand a millionth of the capacity would need millions of phases
+     to lift the dual objective to 1, so the phase cap ends the solve. *)
+  let g = Graph.create ~n:2 in
+  ignore (Graph.add_edge g ~src:0 ~dst:1 ~capacity:1e6 ~cost:1.0 ());
+  let r, counts =
+    with_counters mcf_counters (fun () ->
+        Multicommodity.solve ~epsilon:0.5 g
+          [| { Multicommodity.src = 0; dst = 1; demand = 1.0 } |])
+  in
+  Alcotest.(check (float 1e-9)) "lambda" 1.0 r.Multicommodity.lambda;
+  Alcotest.(check (list int)) "capped" [ 10_000; 10_000; 1 ] counts
+
+let test_mcf_alloc_independent_of_paths () =
+  (* A tighter epsilon takes many more augmenting paths on the same
+     instance; with an allocation-free path loop the words allocated
+     per solve stay put, up to a few boxed floats in the final
+     scaling. *)
+  let g, coms, epsilon = day_one ~ducts:50 in
+  (* Builds the graph's cached edge array and adjacency. *)
+  ignore (Multicommodity.solve ~epsilon g coms);
+  let measure epsilon =
+    let words, counts =
+      with_counters [ "mcf/augmenting_paths" ] (fun () ->
+          let w0 = Gc.minor_words () in
+          ignore (Multicommodity.solve ~epsilon g coms);
+          Gc.minor_words () -. w0)
+    in
+    (List.hd counts, words)
+  in
+  let few_paths, few_words = measure 0.3 and many_paths, many_words = measure 0.05 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d vs %d paths" few_paths many_paths)
+    true
+    (many_paths > 5 * few_paths);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f vs %.0f words" few_words many_words)
+    true
+    (Float.abs (many_words -. few_words) < float_of_int (many_paths - few_paths) /. 100.0)
+
+(* Six edges: 0 -> 1, 2, 3, 4 at cost 1, then 2 -> 5 and 4 -> 5 at cost
+   1.  Vertex 1 is finalized first; the heap then moves its last entry,
+   vertex 4, to the root, and an equal-priority child never displaces
+   it, so 4 is finalized before 2 and the path enters 5 from 4. *)
+let test_dijkstra_tie_break () =
+  let g = Graph.create ~n:6 in
+  List.iter
+    (fun (s, d) -> ignore (Graph.add_edge g ~src:s ~dst:d ~capacity:1.0 ~cost:1.0 ()))
+    [ (0, 1); (0, 2); (0, 3); (0, 4); (2, 5); (4, 5) ];
+  Alcotest.(check (option (list int))) "via 4" (Some [ 3; 5 ])
+    (Shortest.dijkstra g ~src:0 ~dst:5);
+  (* Within the 1e-12 slack a later, cheaper path does not replace the
+     first one found. *)
+  let cost e = if e = 4 then 1.0 -. 1e-13 else 1.0 in
+  Alcotest.(check (option (list int))) "slack keeps 4" (Some [ 3; 5 ])
+    (Shortest.dijkstra ~cost g ~src:0 ~dst:5)
+
+let test_workspace_allocates_nothing () =
+  let g, _, _ = day_one ~ducts:50 in
+  let n = Graph.n_vertices g in
+  let length = Graph.costs g and usable _ = true in
+  let ws = Shortest.Workspace.create g in
+  let all_pairs () =
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        ignore (Shortest.Workspace.dijkstra ws g ~usable ~length ~src ~dst)
+      done
+    done
+  in
+  all_pairs ();
+  let w0 = Gc.minor_words () in
+  all_pairs ();
+  Alcotest.(check (float 0.0)) "words" 0.0 (Gc.minor_words () -. w0)
+
 (* --- property tests -------------------------------------------------- *)
 
 let random_graph_gen =
@@ -403,6 +607,38 @@ let prop_dijkstra_matches_bellman_ford =
       done;
       !ok)
 
+(* One workspace serves a run of searches with different endpoints,
+   length functions and edge filters; each must return exactly what a
+   fresh search returns, so nothing may leak from one run into the
+   next.  Lengths come from a small set so that ties are common. *)
+let prop_workspace_reuse =
+  let queries =
+    QCheck.Gen.(list_size (int_range 1 12) (triple nat nat (int_bound 1_000_000)))
+  in
+  QCheck.Test.make ~name:"dijkstra: reused workspace = fresh search" ~count:200
+    (QCheck.pair arbitrary_graph (QCheck.make queries))
+    (fun (spec, qs) ->
+      let g = build_random spec in
+      let n = Graph.n_vertices g and m = Graph.n_edges g in
+      let ws = Shortest.Workspace.create g in
+      List.for_all
+        (fun (a, b, seed) ->
+          let rng = Rwc_stats.Rng.create seed in
+          let length =
+            Array.init m (fun _ -> [| 0.0; 0.5; 1.0; 1.0; 2.0 |].(Rwc_stats.Rng.int rng 5))
+          in
+          let banned = Array.init m (fun _ -> Rwc_stats.Rng.int rng 4 = 0) in
+          let usable e = not banned.(e) in
+          let src = a mod n and dst = b mod n in
+          let fresh = Shortest.dijkstra ~usable ~cost:(Array.get length) g ~src ~dst in
+          let reused =
+            if Shortest.Workspace.dijkstra ws g ~usable ~length ~src ~dst then
+              Some (Shortest.Workspace.path ws)
+            else None
+          in
+          fresh = reused)
+        qs)
+
 let prop_yen_sorted_and_loopless =
   QCheck.Test.make ~name:"yen: sorted, distinct, loopless" ~count:100
     arbitrary_graph (fun spec ->
@@ -433,6 +669,7 @@ let props =
       prop_mincost_agrees_with_cycle_cancel;
       prop_decompose_covers_value;
       prop_dijkstra_matches_bellman_ford;
+      prop_workspace_reuse;
       prop_yen_sorted_and_loopless;
     ]
 
@@ -467,6 +704,19 @@ let suite =
     Alcotest.test_case "gk shared bottleneck" `Quick test_gk_two_commodities_share;
     Alcotest.test_case "gk feasible demands" `Quick test_gk_feasible_demands;
     Alcotest.test_case "gk no commodities" `Quick test_gk_no_commodities;
+    Alcotest.test_case "mcf golden day-one 50" `Quick
+      (test_mcf_golden_day_one 50 "ad151ba5a832f3d6624c8f6afa4c1d6e");
+    Alcotest.test_case "mcf golden day-one 200" `Quick
+      (test_mcf_golden_day_one 200 "834788a5a149ebac833c3ffe0499bc1f");
+    Alcotest.test_case "mcf golden random" `Quick test_mcf_golden_random;
+    Alcotest.test_case "mcf stops when nothing routable" `Quick
+      test_mcf_stops_when_nothing_routable;
+    Alcotest.test_case "mcf counts phase cap" `Quick test_mcf_counts_phase_cap;
+    Alcotest.test_case "mcf alloc independent of paths" `Quick
+      test_mcf_alloc_independent_of_paths;
+    Alcotest.test_case "dijkstra tie-break" `Quick test_dijkstra_tie_break;
+    Alcotest.test_case "dijkstra workspace allocates nothing" `Quick
+      test_workspace_allocates_nothing;
   ]
   @ props
 
