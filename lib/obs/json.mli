@@ -4,8 +4,12 @@
 
     The serializer always emits valid JSON (non-finite floats become
     [null]); the parser accepts the full JSON grammar including
-    [\uXXXX] escapes and is only meant for reading back files this
-    module wrote (manifest round-trips in tests and tooling). *)
+    [\uXXXX] escapes.  Every journal line, checkpoint and JSON-RPC
+    message goes through this module, so both directions are kept
+    cheap: printing allocates the output buffer and nothing per value
+    except the [Printf] text of a non-integral float or a control
+    character, and parsing allocates the tree it returns and nothing
+    per input byte. *)
 
 type t =
   | Null
@@ -25,7 +29,11 @@ val to_string_pretty : t -> string
 
 val parse : string -> (t, string) result
 (** Errors carry a character offset.  Numbers without ['.'/'e'] parse
-    as [Int], everything else as [Float]. *)
+    as [Int], everything else as [Float].  [\uXXXX] escapes decode to
+    UTF-8; a high surrogate immediately followed by a [\u] low
+    surrogate decodes to the one 4-byte sequence of the scalar the
+    pair names, and a surrogate anywhere else is rejected as
+    ["bad \u escape"] at the offset of its hex digits. *)
 
 val member : string -> t -> t option
 (** Field lookup in an [Assoc]; [None] otherwise. *)

@@ -87,30 +87,52 @@ let keep_checkpoints = 3
 
 (* ---- CRC32 (reflected, polynomial 0xEDB88320) ------------------------- *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+(* Native ints throughout: the 32-bit register lives in the low bits
+   of a 63-bit int, so the loop allocates nothing per byte (a boxed
+   [Int32] accumulator costs three words each); only the result is
+   boxed.  Slicing-by-4: [crc_tables] holds four 256-entry tables, the
+   one at [256 * k] advancing the register over a byte followed by [k]
+   zero bytes, so each 4-byte word costs four independent lookups
+   instead of a chain of four dependent ones. *)
+let crc_tables =
+  let t = Array.make 1024 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to 1023 do
+    let prev = t.(i - 256) in
+    t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+  done;
+  t
 
 let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int
-          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+  let n = String.length s in
+  let c = ref 0xFFFFFFFF and i = ref 0 in
+  while !i + 4 <= n do
+    let j = !i in
+    let x =
+      !c
+      lxor (Char.code (String.unsafe_get s j)
+           lor (Char.code (String.unsafe_get s (j + 1)) lsl 8)
+           lor (Char.code (String.unsafe_get s (j + 2)) lsl 16)
+           lor (Char.code (String.unsafe_get s (j + 3)) lsl 24))
+    in
+    c :=
+      Array.unsafe_get crc_tables (768 + (x land 0xFF))
+      lxor Array.unsafe_get crc_tables (512 + ((x lsr 8) land 0xFF))
+      lxor Array.unsafe_get crc_tables (256 + ((x lsr 16) land 0xFF))
+      lxor Array.unsafe_get crc_tables (x lsr 24);
+    i := j + 4
+  done;
+  for j = !i to n - 1 do
+    let idx = (!c lxor Char.code (String.unsafe_get s j)) land 0xFF in
+    c := Array.unsafe_get crc_tables idx lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 (* ---- JSON codec -------------------------------------------------------- *)
 
@@ -544,9 +566,12 @@ let checkpoint_of_json j =
 
 (* ---- File format ------------------------------------------------------- *)
 
+let crc_trailer body = Printf.sprintf "crc32=%08lx\n" (crc32 body)
+
+(* [String.concat] copies the body into the file image once. *)
 let checkpoint_to_string c =
   let body = J.to_string (checkpoint_to_json c) in
-  Printf.sprintf "%s\ncrc32=%08lx\n" body (crc32 body)
+  String.concat "\n" [ body; crc_trailer body ]
 
 let checkpoint_of_string s =
   match String.index_opt s '\n' with
@@ -554,8 +579,7 @@ let checkpoint_of_string s =
   | Some i -> (
       let body = String.sub s 0 i in
       let trailer = String.sub s (i + 1) (String.length s - i - 1) in
-      let expected = Printf.sprintf "crc32=%08lx\n" (crc32 body) in
-      if trailer <> expected then Error "checkpoint CRC mismatch"
+      if trailer <> crc_trailer body then Error "checkpoint CRC mismatch"
       else
         match J.parse body with
         | Error e -> Error ("checkpoint JSON: " ^ e)

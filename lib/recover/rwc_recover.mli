@@ -190,7 +190,9 @@ val resume_marks : string -> (int * int) list
     the {!Rwc_obs.Json} printer's contract. *)
 
 val crc32 : string -> int32
-(** Standard reflected CRC-32 (polynomial 0xEDB88320). *)
+(** Standard reflected CRC-32 (polynomial 0xEDB88320).  Allocation-free
+    apart from the boxed result: the register is a native int and the
+    loop is table-driven, four bytes per step. *)
 
 val checkpoint_to_string : checkpoint -> string
 (** Full file image, trailer included. *)

@@ -132,6 +132,493 @@ let prop_json_round_trip =
       in
       check_via Json.to_string && check_via Json.to_string_pretty)
 
+(* --- json: codec oracle ----------------------------------------------------
+
+   The printer and parser as they stood before their fast paths
+   (run-copying escapes, Printf-free ints, option-free peeking, inline
+   ints), kept verbatim as a test-only oracle.  The properties
+   below demand the library agree with it byte for byte on output and
+   exactly — trees, error texts, offsets — on input.  The one intended
+   difference, surrogate-pair decoding, is pinned by its own tests and
+   excluded from the parse property. *)
+module Oracle = struct
+  type t = Json.t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Float of float
+    | String of string
+    | List of t list
+    | Assoc of (string * t) list
+
+  let escape_to buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let float_to buf f =
+    if not (Float.is_finite f) then Buffer.add_string buf "null"
+    else if Float.is_integer f && Float.abs f < 1e15 then
+      Buffer.add_string buf (Printf.sprintf "%.1f" f)
+    else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+
+  let rec write ~indent ~level buf v =
+    let nl lvl =
+      if indent then begin
+        Buffer.add_char buf '\n';
+        Buffer.add_string buf (String.make (2 * lvl) ' ')
+      end
+    in
+    match v with
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Float f -> float_to buf f
+    | String s -> escape_to buf s
+    | List [] -> Buffer.add_string buf "[]"
+    | List items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_char buf ',';
+            nl (level + 1);
+            write ~indent ~level:(level + 1) buf item)
+          items;
+        nl level;
+        Buffer.add_char buf ']'
+    | Assoc [] -> Buffer.add_string buf "{}"
+    | Assoc fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, item) ->
+            if i > 0 then Buffer.add_char buf ',';
+            nl (level + 1);
+            escape_to buf k;
+            Buffer.add_char buf ':';
+            if indent then Buffer.add_char buf ' ';
+            write ~indent ~level:(level + 1) buf item)
+          fields;
+        nl level;
+        Buffer.add_char buf '}'
+
+  let render ~indent v =
+    let buf = Buffer.create 256 in
+    write ~indent ~level:0 buf v;
+    Buffer.contents buf
+
+  let to_string v = render ~indent:false v
+  let to_string_pretty v = render ~indent:true v
+
+  exception Fail of int * string
+
+  let parse s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let fail msg = raise (Fail (!pos, msg)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+          advance ();
+          skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      match peek () with
+      | Some got when got = c -> advance ()
+      | _ -> fail (Printf.sprintf "expected %C" c)
+    in
+    let literal word v =
+      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
+      then begin
+        pos := !pos + String.length word;
+        v
+      end
+      else fail (Printf.sprintf "expected %s" word)
+    in
+    (* Encode a Unicode scalar value as UTF-8. *)
+    let add_utf8 buf u =
+      if u < 0x80 then Buffer.add_char buf (Char.chr u)
+      else if u < 0x800 then begin
+        Buffer.add_char buf (Char.chr (0xC0 lor (u lsr 6)));
+        Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
+      end
+      else begin
+        Buffer.add_char buf (Char.chr (0xE0 lor (u lsr 12)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3F)));
+        Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
+      end
+    in
+    let parse_string () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec loop () =
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' -> advance ()
+        | Some '\\' ->
+            advance ();
+            (match peek () with
+            | Some '"' -> Buffer.add_char buf '"'; advance ()
+            | Some '\\' -> Buffer.add_char buf '\\'; advance ()
+            | Some '/' -> Buffer.add_char buf '/'; advance ()
+            | Some 'n' -> Buffer.add_char buf '\n'; advance ()
+            | Some 'r' -> Buffer.add_char buf '\r'; advance ()
+            | Some 't' -> Buffer.add_char buf '\t'; advance ()
+            | Some 'b' -> Buffer.add_char buf '\b'; advance ()
+            | Some 'f' -> Buffer.add_char buf '\012'; advance ()
+            | Some 'u' ->
+                advance ();
+                if !pos + 4 > n then fail "truncated \\u escape";
+                let hex = String.sub s !pos 4 in
+                let u =
+                  try int_of_string ("0x" ^ hex)
+                  with _ -> fail "bad \\u escape"
+                in
+                pos := !pos + 4;
+                add_utf8 buf u
+            | _ -> fail "bad escape");
+            loop ()
+        | Some c ->
+            Buffer.add_char buf c;
+            advance ();
+            loop ()
+      in
+      loop ();
+      Buffer.contents buf
+    in
+    let parse_number () =
+      let start = !pos in
+      let is_num_char = function
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      in
+      while (match peek () with Some c -> is_num_char c | None -> false) do
+        advance ()
+      done;
+      let tok = String.sub s start (!pos - start) in
+      if tok = "" then fail "expected a value";
+      let is_float = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok in
+      if is_float then
+        match float_of_string_opt tok with
+        | Some f -> Float f
+        | None -> fail "bad number"
+      else
+        match int_of_string_opt tok with
+        | Some i -> Int i
+        | None -> (
+            match float_of_string_opt tok with
+            | Some f -> Float f
+            | None -> fail "bad number")
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | None -> fail "unexpected end of input"
+      | Some 'n' -> literal "null" Null
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some '"' -> String (parse_string ())
+      | Some '[' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some ']' then begin
+            advance ();
+            List []
+          end
+          else begin
+            let items = ref [ parse_value () ] in
+            skip_ws ();
+            while peek () = Some ',' do
+              advance ();
+              items := parse_value () :: !items;
+              skip_ws ()
+            done;
+            expect ']';
+            List (List.rev !items)
+          end
+      | Some '{' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some '}' then begin
+            advance ();
+            Assoc []
+          end
+          else begin
+            let field () =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              expect ':';
+              let v = parse_value () in
+              (k, v)
+            in
+            let fields = ref [ field () ] in
+            skip_ws ();
+            while peek () = Some ',' do
+              advance ();
+              fields := field () :: !fields;
+              skip_ws ()
+            done;
+            expect '}';
+            Assoc (List.rev !fields)
+          end
+      | Some _ -> parse_number ()
+    in
+    try
+      let v = parse_value () in
+      skip_ws ();
+      if !pos <> n then Error (Printf.sprintf "trailing input at offset %d" !pos)
+      else Ok v
+    with Fail (at, msg) -> Error (Printf.sprintf "%s at offset %d" msg at)
+end
+
+(* Structural equality that tells -0.0 from 0.0. *)
+let rec json_identical a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List x, Json.List y -> (
+      try List.for_all2 json_identical x y with Invalid_argument _ -> false)
+  | Json.Assoc x, Json.Assoc y -> (
+      try
+        List.for_all2
+          (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && json_identical v1 v2)
+          x y
+      with Invalid_argument _ -> false)
+  | _ -> a = b
+
+let same_parse a b =
+  match (a, b) with
+  | Ok x, Ok y -> json_identical x y
+  | Error x, Error y -> String.equal x y
+  | _ -> false
+
+let show_parse = function
+  | Ok v -> "Ok " ^ Json.to_string v
+  | Error e -> "Error " ^ e
+
+(* Values that reach every printer branch: strings over all 256 byte
+   values (quotes, backslashes and control characters included), the
+   int extremes, and the float cases at the edges of the integral fast
+   path. *)
+let codec_value_gen =
+  QCheck.Gen.(
+    let any_char = map Char.chr (int_range 0 255) in
+    let string_g =
+      frequency
+        [
+          (4, string_size ~gen:any_char (int_bound 24));
+          (1, string_size ~gen:printable (int_range 20 80));
+          (1, oneofl [ ""; "\""; "\\"; "\x00"; "\x1f"; "\x7f"; "\xff"; "a\"b\\c" ]);
+        ]
+    in
+    let int_g =
+      frequency
+        [
+          (4, int);
+          (3, small_signed_int);
+          (1, oneofl [ min_int; max_int; 0; -1; 1; min_int + 1; max_int - 1 ]);
+        ]
+    in
+    let float_g =
+      frequency
+        [
+          (3, float);
+          (2, map float_of_int small_signed_int);
+          (2, map (fun i -> float_of_int (i mod 1_000_000_000_000_000)) int);
+          (1, map (fun i -> float_of_int i /. 8.0) small_signed_int);
+          ( 1,
+            oneofl
+              [
+                0.0; -0.0; 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15; -1e15; nan;
+                infinity; neg_infinity; 0.5; -0.5; 1e-300; 5e-324; 1e300;
+                9007199254740993.0; max_float; min_float; -1.0;
+              ] );
+        ]
+    in
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (1, return Json.Null);
+                 (1, map (fun b -> Json.Bool b) bool);
+                 (3, map (fun i -> Json.Int i) int_g);
+                 (3, map (fun f -> Json.Float f) float_g);
+                 (3, map (fun s -> Json.String s) string_g);
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 (1, map (fun l -> Json.List l) (list_size (int_bound 5) (self (n / 2))));
+                 ( 1,
+                   map
+                     (fun kvs -> Json.Assoc kvs)
+                     (list_size (int_bound 5) (pair string_g (self (n / 2)))) );
+               ]))
+
+let prop_printer_matches_oracle =
+  QCheck.Test.make ~count:1000 ~name:"json: printer bytes = oracle bytes"
+    (QCheck.make ~print:Oracle.to_string codec_value_gen)
+    (fun v ->
+      String.equal (Json.to_string v) (Oracle.to_string v)
+      && String.equal (Json.to_string_pretty v) (Oracle.to_string_pretty v))
+
+(* Number tokens at the edges of the inline int path and of the
+   fallback through [int_of_string]/[float_of_string], plus fragments
+   that break strings, literals and containers. *)
+let edge_tokens =
+  [
+    "+5"; "007"; "-0"; "-"; "1-2"; "--1"; "1+"; "+"; "0"; "-007";
+    "123456789012345678"; "-123456789012345678"; "999999999999999999";
+    "1234567890123456789"; "-1234567890123456789"; "4611686018427387903";
+    "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905";
+    "12345678901234567890"; "-12345678901234567890"; "1e5"; "1E5"; "1.5e-3";
+    "-.5"; ".5"; "1."; "1e"; "1e+"; "e5"; "01.5"; "1.2.3"; "1e999"; "-1e999";
+    "tru"; "nul"; "fals"; "null"; "true"; "\"\\u00e9\""; "\"\\x\""; "\"\\u12G4\"";
+    "\"\\u1_23\""; "\"\\u00\""; "\"\\/\""; "[]"; "{}"; "[,]"; "{\"a\"}";
+    "{\"a\":}"; " "; "\t\n\r"; ","; ":"; "]"; "}"; "["; "{"; "\""; "\\";
+  ]
+
+let json_alphabet = " \t\n\r\"\\/:,[]{}-+.eE0123456789ntrufalsbu_xG\x00\x7f\xc3\xa9"
+
+let rec mutate st s k =
+  if k = 0 then s
+  else
+    let n = String.length s in
+    let at = if n = 0 then 0 else Random.State.int st (n + 1) in
+    let s =
+      match Random.State.int st 5 with
+      | 0 -> String.sub s 0 at
+      | 1 ->
+          let tok = List.nth edge_tokens (Random.State.int st (List.length edge_tokens)) in
+          String.sub s 0 at ^ tok ^ String.sub s at (n - at)
+      | 2 when n > 0 ->
+          let i = min at (n - 1) in
+          let c = json_alphabet.[Random.State.int st (String.length json_alphabet)] in
+          String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1)
+      | 3 when n > 0 ->
+          let i = min at (n - 1) in
+          String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+      | _ ->
+          let c = Char.chr (Random.State.int st 256) in
+          String.sub s 0 at ^ String.make 1 c ^ String.sub s at (n - at)
+    in
+    mutate st s (k - 1)
+
+let parse_input_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map Oracle.to_string codec_value_gen);
+        (1, map Oracle.to_string_pretty codec_value_gen);
+        ( 4,
+          map3
+            (fun v k seed -> mutate (Random.State.make [| seed |]) (Oracle.to_string v) k)
+            codec_value_gen (int_range 1 3) int );
+        (1, oneofl edge_tokens);
+        ( 1,
+          map
+            (fun toks -> String.concat "" toks)
+            (list_size (int_range 1 4) (oneofl edge_tokens)) );
+        ( 1,
+          string_size
+            ~gen:(map (String.get json_alphabet) (int_bound (String.length json_alphabet - 1)))
+            (int_bound 16) );
+      ])
+
+(* A [\u] escape naming a UTF-16 surrogate: the one input class where
+   the parser deliberately departs from the oracle. *)
+let has_surrogate_escape s =
+  let n = String.length s in
+  let rec scan i =
+    i + 5 < n
+    && ((s.[i] = '\\' && s.[i + 1] = 'u'
+        && match int_of_string_opt ("0x" ^ String.sub s (i + 2) 4) with
+           | Some u -> u >= 0xD800 && u <= 0xDFFF
+           | None -> false)
+       || scan (i + 1))
+  in
+  scan 0
+
+let prop_parser_matches_oracle =
+  QCheck.Test.make ~count:3000 ~name:"json: parse = oracle parse (trees, errors)"
+    (QCheck.make ~print:String.escaped parse_input_gen)
+    (fun s ->
+      QCheck.assume (not (has_surrogate_escape s));
+      let got = Json.parse s and want = Oracle.parse s in
+      same_parse got want
+      || QCheck.Test.fail_reportf "got %s, oracle %s" (show_parse got)
+           (show_parse want))
+
+let test_parse_edge_tokens () =
+  List.iter
+    (fun tok ->
+      List.iter
+        (fun doc ->
+          let got = Json.parse doc and want = Oracle.parse doc in
+          if not (same_parse got want) then
+            Alcotest.failf "%S: got %s, oracle %s" doc (show_parse got)
+              (show_parse want))
+        [ tok; "[" ^ tok ^ "]"; "{\"k\":" ^ tok ^ "}"; " " ^ tok ^ " "; tok ^ "," ])
+    edge_tokens
+
+(* --- json: surrogate pairs ----------------------------------------------- *)
+
+let test_surrogate_pairs () =
+  let decodes doc want =
+    match Json.parse doc with
+    | Ok (Json.String s) -> Alcotest.(check string) doc want s
+    | Ok v -> Alcotest.failf "%s: parsed to %s" doc (Json.to_string v)
+    | Error e -> Alcotest.failf "%s: %s" doc e
+  in
+  (* A high surrogate followed by a low one is one supplementary-plane
+     scalar: a single 4-byte UTF-8 sequence, not two 3-byte halves. *)
+  decodes {|"\ud83d\ude00"|} "\xf0\x9f\x98\x80";
+  decodes {|"\uD83D\uDE00"|} "\xf0\x9f\x98\x80";
+  decodes {|"a\ud800\udc00b"|} "a\xf0\x90\x80\x80b";
+  decodes {|"\udbff\udfff"|} "\xf4\x8f\xbf\xbf";
+  (* The BMP neighbours of the surrogate block are ordinary. *)
+  decodes {|"\ud7ff\ue000"|} "\xed\x9f\xbf\xee\x80\x80";
+  (* The scalar survives a print/parse round trip as raw UTF-8. *)
+  (match Json.parse (Json.to_string (Json.String "\xf0\x9f\x98\x80")) with
+  | Ok (Json.String s) -> Alcotest.(check string) "round trip" "\xf0\x9f\x98\x80" s
+  | _ -> Alcotest.fail "round trip")
+
+let test_lone_surrogates () =
+  let rejects doc want =
+    match Json.parse doc with
+    | Error e -> Alcotest.(check string) doc want e
+    | Ok v -> Alcotest.failf "%s accepted as %s" doc (Json.to_string v)
+  in
+  (* The offset is that of the lone surrogate's hex digits, where every
+     other bad [\u] escape reports too. *)
+  rejects {|"\ud83d"|} "bad \\u escape at offset 3";
+  rejects {|"\ud83dx"|} "bad \\u escape at offset 3";
+  rejects {|"\ud83d\u0041"|} "bad \\u escape at offset 3";
+  rejects {|"\ud83d\ud83d"|} "bad \\u escape at offset 3";
+  rejects {|"\ud83d\n"|} "bad \\u escape at offset 3";
+  rejects {|"ab\ude00"|} "bad \\u escape at offset 5";
+  rejects {|["x","\udfff\ud800"]|} "bad \\u escape at offset 8"
+
 (* --- metrics ------------------------------------------------------------- *)
 
 let test_registry_uniqueness () =
@@ -434,6 +921,11 @@ let suite =
     Alcotest.test_case "json round trip" `Quick test_json_round_trip;
     Alcotest.test_case "json escapes" `Quick test_json_parse_escapes;
     QCheck_alcotest.to_alcotest prop_json_round_trip;
+    QCheck_alcotest.to_alcotest prop_printer_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_parser_matches_oracle;
+    Alcotest.test_case "json edge tokens = oracle" `Quick test_parse_edge_tokens;
+    Alcotest.test_case "json surrogate pairs" `Quick test_surrogate_pairs;
+    Alcotest.test_case "json lone surrogates" `Quick test_lone_surrogates;
     Alcotest.test_case "registry uniqueness" `Quick test_registry_uniqueness;
     Alcotest.test_case "disabled is no-op" `Quick test_disabled_is_noop;
     Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;

@@ -132,6 +132,74 @@ let test_crc_reference () =
   (* Pin the CRC-32 implementation to the standard test vector. *)
   Alcotest.(check int32) "crc32(\"123456789\")" 0xCBF43926l (R.crc32 "123456789")
 
+(* CRC-32 straight from its definition — bit by bit, no lookup table —
+   as the reference the table-driven loop must agree with. *)
+let crc32_bitwise s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let prop_crc_matches_bitwise =
+  QCheck.Test.make ~count:300 ~name:"recover: crc32 = bitwise reference"
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (int_bound 300)))
+    (fun s -> Int32.equal (R.crc32 s) (crc32_bitwise s))
+
+(* The CRC runs over every checkpoint body (~18 KB on North America)
+   at every write: it may allocate its boxed result, nothing per byte. *)
+let test_crc_allocation () =
+  let s = String.init 18_432 (fun i -> Char.chr ((i * 131 + 7) land 0xFF)) in
+  let words input =
+    let w0 = Gc.minor_words () in
+    let c = R.crc32 input in
+    let w1 = Gc.minor_words () in
+    ignore (Sys.opaque_identity c);
+    w1 -. w0
+  in
+  let empty = words "" in
+  let big = words s in
+  Alcotest.(check (float 0.0)) "0 words per byte" 0.0 (big -. empty);
+  Alcotest.(check bool) "at most the boxed int32" true (big <= 3.0)
+
+(* The exact file image of [sample_checkpoint], captured before the
+   codec was rewritten: every printer fast path must keep these
+   bytes. *)
+let sample_checkpoint_image =
+  String.concat ""
+    [
+      {|{"version":3,"seq":7,"seed":11,"days":"4615063718147915776",|};
+      {|"journal_events":100,"journal_bytes":12345,"completed":[["static-100",|};
+      {|"delivered=8.25 \"Pbit\"","{\"policy\":\"static-100\"}"]],"run":{"policy":"adaptive-efficient-bvt",|};
+      {|"next_sample":42,"failures":1,"flaps":2,"reconfigs":3,"downtime_s":"4634503083726995456",|};
+      {|"delivered_gbit":"4831355200913801219","capacity_acc":"4683220299150161609",|};
+      {|"up_acc":"4631037423076245504","duct_obs":4200,"retries":5,"fallbacks":1,|};
+      {|"last_te_time":"4671666576745824256","current_total":"4659035936921747456",|};
+      {|"current_capacity":"4661014508095930368","te_dirty":true,"duct_flow":["0",|};
+      {|"4609434218613702656","4598818590920615058"],"reconfig_rng":"-9223372036854775808",|};
+      {|"ducts":[{"gbps":200,"up":true,"snr":"4599075939470750516","rec":true,|};
+      {|"ctl":[150,3],"det":["4625548661030387712","4599676419421066581"],|};
+      {|"freeze":true,"quar":false,"ewma":true},{"gbps":200,"up":true,|};
+      {|"snr":"4599075939470750516","rec":true,"ctl":null,"det":null,|};
+      {|"freeze":true,"quar":false,"ewma":true}],"pending":[{"kind":"te-tick",|};
+      {|"link":3,"new":150,"prev":100,"attempt":2,"at":"4671666576745824256"},|};
+      {|{"kind":"begin","link":3,"new":150,"prev":100,"attempt":2,"at":"4652011706887700480"},|};
+      {|{"kind":"finish","link":3,"new":150,"prev":100,"attempt":2,"at":"4652413028631838720"},|};
+      {|{"kind":"te-recheck","link":3,"new":150,"prev":100,"attempt":2,|};
+      {|"at":"4655631299166339072"}],"faults":{"total":5,"slots":[["123456789",|};
+      {|2],null,["-1",0]]},"guard":null,"rollout":null}}|};
+      "\ncrc32=1033b242\n";
+    ]
+
+let test_checkpoint_bytes_golden () =
+  Alcotest.(check string) "checkpoint_to_string bytes" sample_checkpoint_image
+    (R.checkpoint_to_string (sample_checkpoint ()))
+
 (* --- store ------------------------------------------------------------- *)
 
 let make_ctx ?(faults = Rwc_fault.none) ?(resume = false) ?journal_path dir =
@@ -264,6 +332,79 @@ let test_crash_resume_golden () =
         (Sys.readdir ckdir);
       Sys.rmdir ckdir)
 
+(* Digests of everything the durable write path puts on disk in a
+   seeded 2-day run of the durable_na benchmark configuration —
+   Adaptive Stock, default faults and guard, journal armed with the
+   default SLO plan, a checkpoint at every sample — captured before the
+   codec was rewritten.  The store keeps only the newest three files,
+   so each checkpoint is digested as soon as it appears. *)
+let durable_checkpoint_count = 193
+let durable_checkpoints_digest = "35ddfecc175d63f8377ee50cb49a794a"
+let durable_journal_digest = "e762c90ec25d1e736ea0a4202633615c"
+
+let test_durable_bytes_golden () =
+  with_temp_dir (fun dir ->
+      let journal_path = Filename.concat dir "journal.jsonl" in
+      let ckdir = Filename.concat dir "ck" in
+      let slo = Rwc_journal.Slo.default in
+      let journal = Rwc_journal.create ~path:journal_path ~slo () in
+      let ctx =
+        match
+          R.create ~dir:ckdir ~every:1 ~journal_path ~slo ~faults:Rwc_fault.default
+            ~resume:false ()
+        with
+        | Ok (ctx, _) -> ctx
+        | Error e -> Alcotest.failf "create: %s" e
+      in
+      let seen = Hashtbl.create 256 in
+      let collect () =
+        Array.iter
+          (fun name ->
+            if Filename.check_suffix name ".json" && not (Hashtbl.mem seen name)
+            then
+              Hashtbl.add seen name
+                (Digest.to_hex (Digest.file (Filename.concat ckdir name))))
+          (Sys.readdir ckdir)
+      in
+      let config =
+        {
+          Runner.default_config with
+          Runner.days = 2.0;
+          faults = Rwc_fault.default;
+          guard = Rwc_guard.default;
+          top_demands = 10;
+          epsilon = 0.3;
+          journal;
+          hooks =
+            {
+              Runner.no_hooks with
+              Runner.on_sweep = Some (fun ~k:_ ~now_s:_ ~events:_ -> collect ());
+            };
+        }
+      in
+      (match
+         Runner.run_recoverable ~config ~ctx ~resume_from:None
+           ~policies:[ Runner.Adaptive Runner.Stock ] ()
+       with
+      | [ Runner.Ran _ ] -> ()
+      | _ -> Alcotest.fail "expected one Ran outcome");
+      Rwc_journal.close journal;
+      collect ();
+      let listing =
+        Hashtbl.fold (fun name d acc -> (name ^ " " ^ d ^ "\n") :: acc) seen []
+        |> List.sort compare |> String.concat ""
+      in
+      Alcotest.(check int) "checkpoint files" durable_checkpoint_count
+        (Hashtbl.length seen);
+      Alcotest.(check string) "checkpoint digests" durable_checkpoints_digest
+        (Digest.to_hex (Digest.string listing));
+      Alcotest.(check string) "journal digest" durable_journal_digest
+        (Digest.to_hex (Digest.file journal_path));
+      Array.iter
+        (fun n -> try Sys.remove (Filename.concat ckdir n) with Sys_error _ -> ())
+        (Sys.readdir ckdir);
+      Sys.rmdir ckdir)
+
 (* A stop request cuts a final checkpoint, raises Interrupted, and a
    second context resumes to the uninterrupted result. *)
 let test_interrupt_then_resume () =
@@ -351,6 +492,12 @@ let suite =
     Alcotest.test_case "codec rejects corruption" `Quick
       test_codec_rejects_corruption;
     Alcotest.test_case "crc32 reference vector" `Quick test_crc_reference;
+    QCheck_alcotest.to_alcotest prop_crc_matches_bitwise;
+    Alcotest.test_case "crc32 allocation" `Quick test_crc_allocation;
+    Alcotest.test_case "checkpoint bytes golden" `Quick
+      test_checkpoint_bytes_golden;
+    Alcotest.test_case "durable run bytes golden" `Slow
+      test_durable_bytes_golden;
     Alcotest.test_case "save/load and prune" `Quick test_save_load_and_prune;
     Alcotest.test_case "load_latest falls back" `Quick
       test_load_latest_falls_back;

@@ -183,6 +183,25 @@ let test_dispatch_success_and_notifications () =
       {|{"jsonrpc":"2.0","method":"nope"}|};
     ]
 
+(* A string id carrying a \u surrogate pair comes back as the one
+   4-byte UTF-8 scalar it names, so the reply is valid UTF-8; a lone
+   surrogate is not JSON text the server can echo at all. *)
+let test_dispatch_surrogate_id () =
+  let emoji = "\xf0\x9f\x98\x80" in
+  let resp =
+    dispatch_exn
+      {|{"jsonrpc":"2.0","id":"\ud83d\ude00","method":"echo","params":["\ud83d\ude00"]}|}
+  in
+  Alcotest.(check bool) "id decoded to one scalar" true
+    (jget resp "id" = Json.String emoji);
+  Alcotest.(check bool) "params decoded alike" true
+    (jget resp "result" = Json.List [ Json.String emoji ]);
+  Alcotest.(check string) "echoed bytes"
+    ({|{"jsonrpc":"2.0","id":"|} ^ emoji ^ {|","result":["|} ^ emoji ^ {|"]}|})
+    (Json.to_string resp);
+  Alcotest.(check int) "lone surrogate id is a parse error" (-32700)
+    (error_code (dispatch_exn {|{"jsonrpc":"2.0","id":"\ud83d","method":"echo"}|}))
+
 (* --- stream hub ------------------------------------------------------------ *)
 
 let test_slow_consumer_drops () =
@@ -518,6 +537,8 @@ let suite =
     Alcotest.test_case "dispatch error codes" `Quick test_dispatch_error_codes;
     Alcotest.test_case "dispatch success + notifications" `Quick
       test_dispatch_success_and_notifications;
+    Alcotest.test_case "dispatch surrogate-pair id" `Quick
+      test_dispatch_surrogate_id;
     Alcotest.test_case "slow-consumer drop accounting" `Quick
       test_slow_consumer_drops;
     Alcotest.test_case "replay exempt from queue cap" `Quick
