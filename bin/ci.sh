@@ -153,6 +153,10 @@ for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
 "$RWC" watch --socket "$SERVE_SOCK" --rpc fleet.status | grep -q '"policy"'
 "$RWC" watch --socket "$SERVE_SOCK" --rpc whatif.capacity \
   --params '{"link":0,"gbps":150}' | grep -q '"routed_gbps_after"'
+# Journal reads answer from the daemon's index while the run is live.
+"$RWC" watch --socket "$SERVE_SOCK" --rpc link.timeline --params '{"link":0}' \
+  | grep -q '"events"'
+"$RWC" watch --socket "$SERVE_SOCK" --rpc slo.scorecard | grep -q '"scorecard"'
 # A subscriber catches up from the journal and receives events.
 [ "$("$RWC" watch --socket "$SERVE_SOCK" --raw --from 0 --max-events 3 \
   | wc -l)" -eq 3 ]
@@ -161,6 +165,27 @@ for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 ls "$SERVE_DIR/ckpt" | grep -q 'ckpt-'
+[ ! -e "$SERVE_SOCK" ]
+# --resume: the restarted daemon rebuilds its index from the retained
+# journal, so a timeline answers at once and a full catch-up replays
+# exactly the ordinals the resumed sink has counted.
+"$RWC" serve --days 60 --policy adaptive-stock --faults default \
+  --guard default --slo default --journal "$SERVE_DIR/journal.jsonl" \
+  --socket "$SERVE_SOCK" --checkpoint "$SERVE_DIR/ckpt" --resume \
+  > "$SERVE_DIR/serve.out" &
+SERVE_PID=$!
+for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
+[ -S "$SERVE_SOCK" ]
+"$RWC" watch --socket "$SERVE_SOCK" --rpc link.timeline --params '{"link":0}' \
+  | grep -q '"events":\[{'
+SUBSCRIBED="$("$RWC" watch --socket "$SERVE_SOCK" --rpc stream.subscribe \
+  --params '{"topics":["decision"],"from":0}')"
+REPLAYED="$(echo "$SUBSCRIBED" | sed -n 's/.*"replayed":\([0-9]*\).*/\1/p')"
+NEXT_SEQ="$(echo "$SUBSCRIBED" | sed -n 's/.*"next_seq":\([0-9]*\).*/\1/p')"
+[ "${REPLAYED:-0}" -gt 0 ]
+[ "$REPLAYED" -eq "$NEXT_SEQ" ]
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
 [ ! -e "$SERVE_SOCK" ]
 rm -rf "$SERVE_DIR"
 

@@ -287,6 +287,9 @@ let record_of_json json =
   in
   Ok { t; link; span; kind }
 
+let record_of_line line =
+  match Json.parse line with Error _ as e -> e | Ok json -> record_of_json json
+
 let m_bad_lines = Rwc_obs.Metrics.counter "journal/bad_lines"
 
 let read_file ?(strict = false) path =
@@ -299,12 +302,7 @@ let read_file ?(strict = false) path =
         | line :: rest ->
             if String.trim line = "" then go (n + 1) acc rest
             else begin
-              let parsed =
-                match Json.parse line with
-                | Error _ as e -> e
-                | Ok json -> record_of_json json
-              in
-              match parsed with
+              match record_of_line line with
               | Ok r -> go (n + 1) (r :: acc) rest
               | Error e ->
                   if strict then Error (Printf.sprintf "line %d: %s" n e)
@@ -327,13 +325,13 @@ let read_file ?(strict = false) path =
       | _ -> ());
       result
 
-let read_from ?(strict = false) path ~offset =
-  (* Incremental companion to [read_file] for live tails: read from a
-     byte offset, consume only complete (newline-terminated) lines, and
-     report where the next poll should pick up.  A torn tail — a
-     record mid-write, exactly what storm faults produce — is simply
-     not consumed yet, so followers skip it this round instead of
-     dying on it. *)
+let scan_from path ~offset f =
+  (* The scan behind [read_from] and the serve index: read from a byte
+     offset, consume only complete (newline-terminated) lines, and
+     report where the next poll should pick up.  A torn tail — a record
+     mid-write, exactly what storm faults produce — is simply not
+     consumed yet, so followers skip it this round instead of dying on
+     it. *)
   match
     In_channel.with_open_bin path (fun ic ->
         let len = Int64.to_int (In_channel.length ic) in
@@ -356,34 +354,34 @@ let read_from ?(strict = false) path ~offset =
         | None -> 0
         | Some i -> i + 1
       in
-      let bad = ref 0 in
-      let rec go n acc = function
-        | [] -> Ok (List.rev acc)
-        | line :: rest ->
-            if String.trim line = "" then go (n + 1) acc rest
-            else begin
-              let parsed =
-                match Json.parse line with
-                | Error _ as e -> e
-                | Ok json -> record_of_json json
-              in
-              match parsed with
-              | Ok r -> go (n + 1) (r :: acc) rest
-              | Error e ->
-                  if strict then
-                    Error (Printf.sprintf "line %d after offset %d: %s" n offset e)
-                  else begin
-                    incr bad;
-                    Rwc_obs.Metrics.incr m_bad_lines;
-                    go (n + 1) acc rest
-                  end
-            end
+      let rec go pos line =
+        if pos < consumed then begin
+          let eol = String.index_from chunk pos '\n' in
+          let text = String.sub chunk pos (eol - pos) in
+          if String.trim text <> "" then
+            f ~offset:(offset + pos) ~line (record_of_line text);
+          go (eol + 1) (line + 1)
+        end
       in
-      let lines =
-        if consumed = 0 then []
-        else String.split_on_char '\n' (String.sub chunk 0 (consumed - 1))
-      in
-      Result.map (fun records -> (records, !bad, offset + consumed)) (go 1 [] lines)
+      go 0 1;
+      Ok (offset + consumed)
+
+let read_from ?(strict = false) path ~offset =
+  let exception Strict of string in
+  let acc = ref [] and bad = ref 0 in
+  match
+    scan_from path ~offset (fun ~offset:_ ~line -> function
+      | Ok r -> acc := r :: !acc
+      | Error e ->
+          if strict then
+            raise (Strict (Printf.sprintf "line %d after offset %d: %s" line offset e))
+          else begin
+            incr bad;
+            Rwc_obs.Metrics.incr m_bad_lines
+          end)
+  with
+  | Ok next -> Ok (List.rev !acc, !bad, next)
+  | Error e | (exception Strict e) -> Error e
 
 let segments records =
   (* Split on run headers; any records before the first header (a
@@ -608,7 +606,7 @@ module Slo = struct
       | Outage { up } -> a.up <- up
     end
 
-  let evaluate tracker ~horizon_s =
+  let evaluate_in_place tracker ~horizon_s =
     let cfg = tracker.cfg in
     let links =
       Array.mapi
@@ -667,6 +665,16 @@ module Slo = struct
       violated = Array.length links - met;
     }
 
+  (* Scoring charges every accumulator up to the horizon — a mutation —
+     so score a copy and leave the tracker folding undisturbed. *)
+  let evaluate tracker ~horizon_s =
+    evaluate_in_place
+      {
+        tracker with
+        accs = Array.map (fun a -> { a with last_t = a.last_t }) tracker.accs;
+      }
+      ~horizon_s
+
   let of_records cfg records =
     match
       List.find_map
@@ -680,7 +688,7 @@ module Slo = struct
     | Some (horizon_s, n_links) ->
         let tracker = make_tracker cfg ~n_links in
         List.iter (feed tracker) records;
-        Ok (evaluate tracker ~horizon_s)
+        Ok (evaluate_in_place tracker ~horizon_s)
 
   let summary_to_json s =
     Json.Assoc
@@ -720,7 +728,7 @@ type t = {
   mutable horizon_s : float;
   mutable n_events : int;
   mutable closed : bool;
-  mutable tee : (seq:int -> record -> unit) option;
+  mutable tee : (seq:int -> offset:int -> record -> unit) option;
 }
 
 let disarmed =
@@ -797,10 +805,7 @@ let resume ?path ?(slo = Slo.none) ~at ~events () =
                   List.filter_map
                     (fun line ->
                       if String.trim line = "" then None
-                      else
-                        match Json.parse line with
-                        | Error _ -> None
-                        | Ok json -> Result.to_option (record_of_json json))
+                      else Result.to_option (record_of_line line))
                     lines
                 in
                 let records = parse () in
@@ -857,15 +862,19 @@ let resume ?path ?(slo = Slo.none) ~at ~events () =
 let emit t r =
   let tok = Rwc_perf.start () in
   t.n_events <- t.n_events + 1;
-  (match t.w with
-  | Some w ->
-      Rwc_storm.Writer.write w (Json.to_string (record_to_json r));
-      Rwc_storm.Writer.write w "\n"
-  | None -> ());
+  let offset =
+    match t.w with
+    | Some w ->
+        let offset = Rwc_storm.Writer.logical_bytes w in
+        Rwc_storm.Writer.write w (Json.to_string (record_to_json r));
+        Rwc_storm.Writer.write w "\n";
+        offset
+    | None -> 0
+  in
   (match t.tracker with Some tr -> Slo.feed tr r | None -> ());
   (* The tee fires after the write: a live-stream subscriber can never
      observe a decision the durable log does not yet contain. *)
-  (match t.tee with Some f -> f ~seq:(t.n_events - 1) r | None -> ());
+  (match t.tee with Some f -> f ~seq:(t.n_events - 1) ~offset r | None -> ());
   Rwc_perf.stop Rwc_perf.Journal_emit tok
 
 let set_tee t f =
@@ -878,22 +887,7 @@ let clear_tee t = if t.sink_armed then t.tee <- None
 let adopt_tee t ~from = if t.sink_armed then t.tee <- from.tee
 
 let online_slo t ~at =
-  match t.tracker with
-  | None -> None
-  | Some tr ->
-      (* [Slo.evaluate] charges every accumulator up to the horizon —
-         a mutation — so score a deep copy and leave the live tracker
-         folding undisturbed. *)
-      let copy =
-        {
-          Slo.cfg = tr.Slo.cfg;
-          accs =
-            Array.map
-              (fun a -> { a with Slo.last_t = a.Slo.last_t })
-              tr.Slo.accs;
-        }
-      in
-      Some (Slo.evaluate copy ~horizon_s:at)
+  Option.map (fun tr -> Slo.evaluate tr ~horizon_s:at) t.tracker
 
 let start_run t ~policy ~seed ~horizon_s ~n_links =
   if t.sink_armed then begin
@@ -916,7 +910,7 @@ let finish_run t =
   | Some tr ->
       t.tracker <- None;
       (match t.w with Some w -> Rwc_storm.Writer.flush w | None -> ());
-      Some (Slo.evaluate tr ~horizon_s:t.horizon_s)
+      Some (Slo.evaluate_in_place tr ~horizon_s:t.horizon_s)
 
 (* Each emitter checks the armed flag before building its record, so
    the disarmed path is a call, a load and a branch — the same budget

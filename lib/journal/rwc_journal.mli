@@ -118,6 +118,10 @@ val record_to_json : record -> Rwc_obs.Json.t
 val record_of_json : Rwc_obs.Json.t -> (record, string) result
 (** Inverse of {!record_to_json}. *)
 
+val record_of_line : string -> (record, string) result
+(** Decode one journal line ([Json.parse] then {!record_of_json}): the
+    one line decoder every reader below shares. *)
+
 val read_file : ?strict:bool -> string -> (record list * int, string) result
 (** Parse a JSONL journal, in file order, returning the records plus
     the count of malformed lines skipped.  Blank lines are free.  By
@@ -128,10 +132,23 @@ val read_file : ?strict:bool -> string -> (record list * int, string) result
     [~strict:true] the first malformed line is an error carrying its
     line number. *)
 
+val scan_from :
+  string ->
+  offset:int ->
+  (offset:int -> line:int -> (record, string) result -> unit) ->
+  (int, string) result
+(** The scan under {!read_from}: call [f] once per complete
+    (newline-terminated), non-blank line from byte [offset] on, in file
+    order, with the line's first byte, its 1-based line number counted
+    from [offset] (blank lines included) and its {!record_of_line}
+    decoding; return the offset just past the last complete line.  A
+    torn tail is not visited.  Errors as {!read_from} does. *)
+
 val read_from :
   ?strict:bool -> string -> offset:int -> (record list * int * int, string) result
 (** Incremental companion to {!read_file} for live tails ([rwc explain
-    --follow], the serve catch-up replay): read the journal from byte
+    --follow], the serve daemon's explicit-plan scorecard): read the
+    journal from byte
     [offset], consuming only {b complete} (newline-terminated) lines,
     and return [(records, bad_lines, next_offset)] where
     [next_offset] is where the next poll should resume.  A torn tail —
@@ -205,6 +222,25 @@ module Slo : sig
     violated : int;
   }
 
+  type tracker
+  (** One segment's fold: a per-link piecewise-constant timeline of
+      up/down, capacity class and quarantine, charged record by
+      record.  {!of_records}, the sink's {!online_slo} and the serve
+      daemon's scorecard all run this one fold, so they cannot
+      disagree on the same records. *)
+
+  val make_tracker : config -> n_links:int -> tracker
+  (** A fresh fold for a segment of [n_links] links. *)
+
+  val feed : tracker -> record -> unit
+  (** Fold one record.  Records of links outside [0, n_links) — the
+      [-1] of headers and fleet-level events — are ignored. *)
+
+  val evaluate : tracker -> horizon_s:float -> summary
+  (** Score the fold as of [horizon_s], charging every link's open
+      interval up to it.  Scores a copy: the tracker keeps folding
+      undisturbed. *)
+
   val of_records : config -> record list -> (summary, string) result
   (** Offline evaluation of one journal segment.  The segment's
       {!Run_start} header supplies horizon and link count; an error if
@@ -245,13 +281,18 @@ val byte_offset : t -> int
     high-water mark a checkpoint records so a resumed run can truncate
     the file back to a consistent point.  0 for path-less sinks. *)
 
-val set_tee : t -> (seq:int -> record -> unit) -> unit
+val set_tee : t -> (seq:int -> offset:int -> record -> unit) -> unit
 (** Attach a live tap: called once per emitted record, {e after} the
     record is written to the file, with [seq] the record's global
     ordinal in this sink (the value {!events_emitted} reports {e
     after} the emit) — so a streaming subscriber can never observe a
     decision the durable log does not yet contain, and the ordinal
     doubles as the subscriber's high-water mark for catch-up replay.
+    [offset] is the byte at which the record's line starts in the
+    file: the writer's logical size before the write, so reading that
+    line back needs only a flush ({!byte_offset}), and a tee that keeps
+    it can find the line again without rescanning (0 on a path-less
+    sink).
     The tee must not re-enter the sink.  At most one tee is attached;
     a second call replaces the first.  Raises [Invalid_argument] on a
     {!disarmed} sink (its emitters never run). *)

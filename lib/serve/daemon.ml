@@ -19,6 +19,10 @@ module Engine = struct
     metrics_interval : int;
     default_max_queue : int;
     slo_plan : J.Slo.plan;
+    index : Journal_index.t;
+    mutable fold : J.Slo.tracker option;
+        (* [slo_plan]'s fold over the current segment, restarted at each
+           run header. *)
     mutable live : Runner.live option;
     mutable running : bool;
     mutable sealed : bool;
@@ -44,6 +48,8 @@ module Engine = struct
       metrics_interval = max 1 metrics_interval;
       default_max_queue = max 1 max_queue;
       slo_plan = slo;
+      index = Journal_index.create ();
+      fold = None;
       live = None;
       running = false;
       sealed = false;
@@ -59,6 +65,7 @@ module Engine = struct
     }
 
   let hub t = t.hub
+  let index t = t.index
   let want_shutdown t = t.want_shutdown
   let request_shutdown t = t.want_shutdown <- true
   let set_pump t f = t.pump <- f
@@ -67,9 +74,39 @@ module Engine = struct
     t.external_stop <- external_stop;
     t.on_stop <- on_stop
 
+  (* The sink buffers through Rwc_storm.Writer; force the tail out
+     before reading the file back.  [byte_offset] flushes. *)
+  let flush_journal t = if not t.sealed then ignore (J.byte_offset t.journal)
+
+  (* One journal line, [r] its record as read back from the file. *)
+  let ingest t ~offset r =
+    Journal_index.add t.index ~offset r;
+    match r with
+    | None -> ()
+    | Some r -> (
+        (match (t.slo_plan, r.J.kind) with
+        | Some cfg, J.Run_start { n_links; _ } ->
+            t.fold <- Some (J.Slo.make_tracker cfg ~n_links)
+        | _ -> ());
+        match t.fold with Some tr -> J.Slo.feed tr r | None -> ())
+
   let install t =
-    J.set_tee t.journal (fun ~seq r ->
-        Stream.publish t.hub ~topic:Stream.Decision ~seq (J.record_to_json r))
+    (* The tee sees each record as written; the index and the fold take
+       it as the file will read it back (12 significant digits for a
+       fractional time), so their answers match a re-read of the file. *)
+    J.set_tee t.journal (fun ~seq ~offset r ->
+        let json = J.record_to_json r in
+        Stream.publish t.hub ~topic:Stream.Decision ~seq json;
+        ingest t ~offset (Result.to_option (J.record_of_line (Json.to_string json))));
+    (* Whatever the file already holds — a resumed run's retained
+       prefix — is indexed once, before the tee adds to it. *)
+    flush_journal t;
+    match
+      J.scan_from t.journal_path ~offset:0 (fun ~offset ~line:_ r ->
+          ingest t ~offset (Result.to_option r))
+    with
+    | Ok _ -> ()
+    | Error e -> failwith ("Daemon.Engine.install: " ^ e)
 
   let publish_lifecycle t fields =
     Stream.publish t.hub ~topic:Stream.Lifecycle
@@ -157,10 +194,6 @@ module Engine = struct
   let ok v = Ok v
   let invalid m = Error (Rpc.Invalid_params, m)
 
-  (* The sink buffers through Rwc_storm.Writer; force the tail out
-     before reading the file back.  [byte_offset] flushes. *)
-  let flush_journal t = if not t.sealed then ignore (J.byte_offset t.journal)
-
   let fleet_status t _params =
     let base =
       [
@@ -207,83 +240,94 @@ module Engine = struct
     in
     ok (Json.Assoc (base @ live_fields))
 
+  let no_segments = invalid "journal has no run segments yet"
+
   let link_timeline t params =
     let* link = Rpc.Params.req_int params "link" in
     let* run = Rpc.Params.int_opt params "run" in
     let* limit = Rpc.Params.int_opt params "limit" in
     let limit = match limit with Some n when n > 0 -> n | _ -> 200 in
-    flush_journal t;
-    match J.read_file t.journal_path with
-    | Error e -> Error (Rpc.Internal_error, e)
-    | Ok (records, _bad) -> (
-        let segs = J.segments records in
-        let nsegs = List.length segs in
-        if nsegs = 0 then invalid "journal has no run segments yet"
-        else
-          let idx = match run with Some r -> r - 1 | None -> nsegs - 1 in
-          if idx < 0 || idx >= nsegs then
-            invalid (Printf.sprintf "run must be in 1..%d" nsegs)
-          else
-            let seg = List.nth segs idx in
-            let policy =
-              match
-                List.find_opt
-                  (fun r ->
-                    match r.J.kind with J.Run_start _ -> true | _ -> false)
-                  seg
-              with
-              | Some r -> (
-                  match r.J.kind with
-                  | J.Run_start { policy; _ } -> Json.String policy
-                  | _ -> Json.Null)
-              | None -> Json.Null
-            in
-            let mine = List.filter (fun r -> r.J.link = link) seg in
-            let total = List.length mine in
-            let rec drop n l =
-              if n <= 0 then l
-              else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-            in
-            let tail = drop (total - limit) mine in
-            ok
-              (Json.Assoc
-                 [
-                   ("link", Json.Int link);
-                   ("run", Json.Int (idx + 1));
-                   ("policy", policy);
-                   ("total", Json.Int total);
-                   ("events", Json.List (List.map J.record_to_json tail));
-                 ]))
+    let nsegs = Journal_index.segments t.index in
+    if nsegs = 0 then no_segments
+    else
+      let idx = match run with Some r -> r - 1 | None -> nsegs - 1 in
+      if idx < 0 || idx >= nsegs then
+        invalid (Printf.sprintf "run must be in 1..%d" nsegs)
+      else
+        let seg = Journal_index.segment t.index idx in
+        let total, tail = Journal_index.link_tail t.index ~link idx ~limit in
+        flush_journal t;
+        let* lines =
+          Result.map_error
+            (fun e -> (Rpc.Internal_error, e))
+            (Journal_index.lines t.index t.journal_path tail)
+        in
+        let* events =
+          List.fold_right
+            (fun line acc ->
+              let* acc = acc in
+              match J.record_of_line line with
+              | Ok r -> Ok (J.record_to_json r :: acc)
+              | Error e ->
+                  Error (Rpc.Internal_error, "journal changed under the index: " ^ e))
+            lines (Ok [])
+        in
+        ok
+          (Json.Assoc
+             [
+               ("link", Json.Int link);
+               ("run", Json.Int (idx + 1));
+               ( "policy",
+                 match seg.Journal_index.run with
+                 | Some r -> Json.String r.Journal_index.policy
+                 | None -> Json.Null );
+               ("total", Json.Int total);
+               ("events", Json.List events);
+             ])
 
   let slo_scorecard t params =
     let* plan_s = Rpc.Params.string_opt params "plan" in
-    let offline plan =
-      match plan with
-      | None ->
-          invalid "no SLO plan: pass params.plan or start the daemon with --slo"
-      | Some cfg -> (
-          flush_journal t;
-          match J.read_file t.journal_path with
-          | Error e -> Error (Rpc.Internal_error, e)
-          | Ok (records, _bad) -> (
-              match List.rev (J.segments records) with
-              | [] -> invalid "journal has no run segments yet"
-              | seg :: _ -> (
-                  match J.Slo.of_records cfg seg with
-                  | Ok summary ->
-                      ok
-                        (Json.Assoc
-                           [
-                             ("source", Json.String "journal");
-                             ("scorecard", J.Slo.summary_to_json summary);
-                           ])
-                  | Error e -> Error (Rpc.Internal_error, e))))
+    let scorecard source summary =
+      ok
+        (Json.Assoc
+           [
+             ("source", Json.String source);
+             ("scorecard", J.Slo.summary_to_json summary);
+           ])
+    in
+    let no_plan =
+      invalid "no SLO plan: pass params.plan or start the daemon with --slo"
+    in
+    let with_last f =
+      match Journal_index.segments t.index with
+      | 0 -> no_segments
+      | n -> f (Journal_index.segment t.index (n - 1))
+    in
+    (* An explicit plan folds the last segment's byte range afresh. *)
+    let replan cfg =
+      with_last (fun last ->
+        flush_journal t;
+        match J.read_from t.journal_path ~offset:last.Journal_index.offset with
+        | Error e -> Error (Rpc.Internal_error, e)
+        | Ok (records, _bad, _next) -> (
+            match J.Slo.of_records cfg records with
+            | Ok summary -> scorecard "journal" summary
+            | Error e -> Error (Rpc.Internal_error, e)))
+    in
+    (* The daemon's own plan has been folded record by record. *)
+    let folded () =
+      with_last (fun last ->
+        match (last.Journal_index.run, t.fold) with
+        | Some r, Some tr ->
+            scorecard "journal" (J.Slo.evaluate tr ~horizon_s:r.Journal_index.horizon_s)
+        | _ -> Error (Rpc.Internal_error, "slo: journal segment has no run header"))
     in
     match plan_s with
     | Some s -> (
         match J.Slo.of_string s with
         | Error e -> invalid e
-        | Ok plan -> offline plan)
+        | Ok None -> no_plan
+        | Ok (Some cfg) -> replan cfg)
     | None -> (
         let online =
           match t.live with
@@ -291,15 +335,10 @@ module Engine = struct
               J.online_slo t.journal ~at:(lv.Runner.lv_now ())
           | _ -> None
         in
-        match online with
-        | Some summary ->
-            ok
-              (Json.Assoc
-                 [
-                   ("source", Json.String "online");
-                   ("scorecard", J.Slo.summary_to_json summary);
-                 ])
-        | None -> offline t.slo_plan)
+        match (online, t.slo_plan) with
+        | Some summary, _ -> scorecard "online" summary
+        | None, None -> no_plan
+        | None, Some _ -> folded ())
 
   let whatif_capacity t params =
     let* link = Rpc.Params.req_int params "link" in
@@ -394,26 +433,32 @@ module Engine = struct
        engine is single-threaded, so live decisions emitted after this
        point land behind the replayed ones: the replay covers ordinals
        [from, events_emitted) and the tee covers [events_emitted, ...)
-       — no gap, no duplicate. *)
+       — no gap, no duplicate.  The replay reads from ordinal [from]'s
+       line on, and each record's seq is its line's ordinal in the
+       index: a malformed line costs its own record, never the seqs
+       after it. *)
     let replayed =
       match from with
-      | Some start when List.mem Stream.Decision topics -> (
+      | Some start
+        when List.mem Stream.Decision topics && start < Journal_index.length t.index
+        -> (
           flush_journal t;
-          match J.read_file t.journal_path with
+          let n = ref 0 in
+          match
+            J.scan_from t.journal_path
+              ~offset:(Journal_index.offset t.index start)
+              (fun ~offset ~line:_ r ->
+                match (r, Journal_index.ordinal t.index ~offset) with
+                | Ok r, Some seq ->
+                    incr n;
+                    Stream.push_direct sub ~topic:Stream.Decision ~seq
+                      (J.record_to_json r)
+                | _ -> ())
+          with
           | Error e ->
               Stream.unsubscribe t.hub sub;
               Error (Rpc.Internal_error, e)
-          | Ok (records, _bad) ->
-              let n = ref 0 in
-              List.iteri
-                (fun i r ->
-                  if i >= start then begin
-                    incr n;
-                    Stream.push_direct sub ~topic:Stream.Decision ~seq:i
-                      (J.record_to_json r)
-                  end)
-                records;
-              Ok !n)
+          | Ok _ -> Ok !n)
       | _ -> Ok 0
     in
     match replayed with
@@ -521,6 +566,7 @@ type client = {
   mutable framing : Transport.framing;
   mutable dec : Transport.decoder option;  (* None until detected *)
   mutable preamble : string;
+  inbuf : Bytes.t;  (* this connection's read buffer, reused every pump *)
   outbuf : Buffer.t;
   mutable sub : Stream.subscriber option;
   mutable alive : bool;
@@ -535,6 +581,8 @@ type server = {
   mutable clients : client list;
 }
 
+let read_size = 65536
+
 let new_client ~sock c_in c_out =
   {
     c_in;
@@ -543,6 +591,7 @@ let new_client ~sock c_in c_out =
     framing = Transport.Jsonl;
     dec = None;
     preamble = "";
+    inbuf = Bytes.create read_size;
     outbuf = Buffer.create 256;
     sub = None;
     alive = true;
@@ -632,11 +681,11 @@ let drain_decoder srv c =
       in
       loop ()
 
-let feed_client c s =
+let feed_client c n =
   match c.dec with
-  | Some dec -> Transport.feed dec s
+  | Some dec -> Transport.feed_bytes dec c.inbuf n
   | None -> (
-      c.preamble <- c.preamble ^ s;
+      c.preamble <- c.preamble ^ Bytes.sub_string c.inbuf 0 n;
       match Transport.detect c.preamble with
       | None -> ()
       | Some f ->
@@ -648,16 +697,15 @@ let feed_client c s =
 
 let read_client srv c =
   if c.alive && not c.closing then begin
-    let buf = Bytes.create 65536 in
     let rec loop () =
-      match Unix.read c.c_in buf 0 (Bytes.length buf) with
+      match Unix.read c.c_in c.inbuf 0 read_size with
       | 0 ->
           (* EOF: stop reading but let pending responses drain before
              the close — a piped stdio client sends its requests and
              closes stdin in one shot. *)
           c.closing <- true
       | n ->
-          feed_client c (Bytes.sub_string buf 0 n);
+          feed_client c n;
           drain_decoder srv c;
           if c.alive && not c.closing then loop ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -867,6 +915,7 @@ module Client = struct
   type t = {
     fd : Unix.file_descr;
     dec : Transport.decoder;
+    buf : Bytes.t;  (* read buffer, reused by every [recv] *)
     mutable next_id : int;
   }
 
@@ -876,7 +925,12 @@ module Client = struct
      with e ->
        (try Unix.close fd with Unix.Unix_error _ -> ());
        raise e);
-    { fd; dec = Transport.decoder Transport.Jsonl; next_id = 1 }
+    {
+      fd;
+      dec = Transport.decoder Transport.Jsonl;
+      buf = Bytes.create read_size;
+      next_id = 1;
+    }
 
   let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -892,7 +946,6 @@ module Client = struct
     go 0
 
   let recv t =
-    let buf = Bytes.create 65536 in
     let rec go () =
       match Transport.next t.dec with
       | Error e -> Error e
@@ -901,10 +954,10 @@ module Client = struct
           | Ok j -> Ok j
           | Error e -> Error ("bad JSON from server: " ^ e))
       | Ok None -> (
-          match Unix.read t.fd buf 0 (Bytes.length buf) with
+          match Unix.read t.fd t.buf 0 read_size with
           | 0 -> Error "connection closed"
           | n ->
-              Transport.feed t.dec (Bytes.sub_string buf 0 n);
+              Transport.feed_bytes t.dec t.buf n;
               go ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
     in

@@ -43,8 +43,13 @@ module Engine : sig
       log. *)
 
   val install : t -> unit
-  (** Attach the decision tee to the journal sink.  Raises
-      [Invalid_argument] on a disarmed sink. *)
+  (** Attach the decision tee to the journal sink and build the
+      journal index ({!Journal_index}) from what [journal_path]
+      already holds — a resumed run's retained prefix — in one scan;
+      the tee extends it record by record from then on.  With a [slo]
+      plan, the same pass and the tee feed the plan's fold over the
+      current run segment.  Raises [Invalid_argument] on a disarmed
+      sink, [Failure] if the journal file cannot be read. *)
 
   val hooks : t -> Rwc_sim.Runner.hooks
   (** The hooks to place in the run's config: run-start captures the
@@ -52,6 +57,9 @@ module Engine : sig
       telemetry, pumps the transport and honors shutdown requests. *)
 
   val hub : t -> Stream.hub
+
+  val index : t -> Journal_index.t
+  (** The journal index the read RPCs answer from. *)
 
   val on_policy_done : t -> string * string * Rwc_obs.Json.t -> unit
   (** Record a completed policy row [(name, rendered, json)] for
@@ -82,9 +90,23 @@ module Engine : sig
   (** One raw JSON-RPC payload in, response out ([None] for satisfied
       notifications).  Methods: [server.ping], [server.shutdown],
       [fleet.status], [link.timeline], [slo.scorecard],
-      [whatif.capacity], [stream.subscribe].  [on_subscribe] receives
-      the subscriber created by [stream.subscribe] so the transport
-      can bind it to the requesting connection. *)
+      [whatif.capacity], [rollout.*], [stream.subscribe].
+      [on_subscribe] receives the subscriber created by
+      [stream.subscribe] so the transport can bind it to the
+      requesting connection.
+
+      What the journal-backed reads cost, for a journal of n records:
+      - [link.timeline]: a binary search in the link's ordinals for
+        [total], then one seek and read per returned line — O(log n +
+        limit), independent of the run's length.
+      - [slo.scorecard] without [plan]: mid-run with an SLO-armed
+        sink, the sink's online tracker; otherwise the daemon plan's
+        fold, scored on a copy — O(links), no file read.  With an
+        explicit [plan]: one read and fold of the last run segment's
+        lines, from its byte offset to the end.
+      - [stream.subscribe] with [from]: one read from ordinal
+        [from]'s byte offset to the end — O(records replayed).
+      Responses are byte-identical to re-reading the whole file. *)
 end
 
 exception Shutdown

@@ -11,21 +11,29 @@ let encode framing payload =
       Printf.sprintf "Content-Length: %d\r\n\r\n%s" (String.length payload)
         payload
 
-(* Pending bytes live in one string rebuilt per consume: messages are
-   small (a JSON-RPC line) and arrive whole or nearly so, so the
-   simplicity wins over a ring buffer. *)
-type decoder = { framing : framing; mutable pending : string }
+(* Pending bytes are [pending] from [pos] on.  Taking a message only
+   advances [pos]; a feed copies the unconsumed rest once.  So draining
+   a read's worth of buffered messages allocates their payloads and
+   nothing else, however many arrived together. *)
+type decoder = { framing : framing; mutable pending : string; mutable pos : int }
 
-let decoder framing = { framing; pending = "" }
+let decoder framing = { framing; pending = ""; pos = 0 }
 
-let feed d s = if s <> "" then d.pending <- d.pending ^ s
+let feed_bytes d b n =
+  if n > 0 then begin
+    let rest = String.length d.pending - d.pos in
+    let s = Bytes.create (rest + n) in
+    Bytes.blit_string d.pending d.pos s 0 rest;
+    Bytes.blit b 0 s rest n;
+    d.pending <- Bytes.unsafe_to_string s;
+    d.pos <- 0
+  end
 
-let consume d n =
-  d.pending <- String.sub d.pending n (String.length d.pending - n)
+let feed d s = feed_bytes d (Bytes.unsafe_of_string s) (String.length s)
 
-(* Index just past the first header/body separator: \r\n\r\n or, for
-   hand-typed clients, bare \n\n. *)
-let header_end s =
+(* Index of the first header/body separator at or after [from] and
+   just past it: \r\n\r\n or, for hand-typed clients, bare \n\n. *)
+let header_end s from =
   let n = String.length s in
   let rec go i =
     if i >= n then None
@@ -36,7 +44,7 @@ let header_end s =
     else if i + 1 < n && s.[i] = '\n' && s.[i + 1] = '\n' then Some (i, i + 2)
     else go (i + 1)
   in
-  go 0
+  go from
 
 let max_header_bytes = 4096
 
@@ -58,32 +66,28 @@ let content_length_of headers =
 let next d =
   match d.framing with
   | Jsonl -> (
-      match String.index_opt d.pending '\n' with
+      match String.index_from_opt d.pending d.pos '\n' with
       | None -> Ok None
       | Some i ->
-          let line = String.sub d.pending 0 i in
-          consume d (i + 1);
-          let line =
-            if line <> "" && line.[String.length line - 1] = '\r' then
-              String.sub line 0 (String.length line - 1)
-            else line
-          in
+          let stop = if i > d.pos && d.pending.[i - 1] = '\r' then i - 1 else i in
+          let line = String.sub d.pending d.pos (stop - d.pos) in
+          d.pos <- i + 1;
           Ok (Some line))
   | Content_length -> (
-      match header_end d.pending with
+      match header_end d.pending d.pos with
       | None ->
-          if String.length d.pending > max_header_bytes then
+          if String.length d.pending - d.pos > max_header_bytes then
             Error "header block exceeds 4096 bytes without terminating"
           else Ok None
-      | Some (hdr_len, body_start) -> (
-          match content_length_of (String.sub d.pending 0 hdr_len) with
+      | Some (hdr_end, body_start) -> (
+          match content_length_of (String.sub d.pending d.pos (hdr_end - d.pos)) with
           | None -> Error "header block has no valid Content-Length"
           | Some len when len < 0 -> Error "negative Content-Length"
           | Some len ->
               if String.length d.pending < body_start + len then Ok None
               else begin
                 let payload = String.sub d.pending body_start len in
-                consume d (body_start + len);
+                d.pos <- body_start + len;
                 Ok (Some payload)
               end))
 

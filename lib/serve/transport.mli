@@ -30,6 +30,12 @@ val feed : decoder -> string -> unit
 (** Append received bytes; any chunking is fine, including one byte at
     a time. *)
 
+val feed_bytes : decoder -> Bytes.t -> int -> unit
+(** [feed_bytes d buf n] appends the first [n] bytes of [buf] — a
+    connection's reused read buffer — without an intermediate string.
+    Pulling buffered payloads with {!next} allocates only the payloads:
+    the decoder never copies what is still pending. *)
+
 val next : decoder -> (string option, string) result
 (** Pull the next complete payload: [Ok None] = need more bytes.
     Errors (malformed or oversized header block) poison the stream —

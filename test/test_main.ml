@@ -30,6 +30,7 @@ let () =
       ("recover", Test_recover.suite);
       ("storm", Test_storm.suite);
       ("serve", Test_serve.suite);
+      ("serve-read", Test_serve_read.suite);
       ("figures", Test_figures.suite);
       ("par", Test_par.suite);
       ("rollout", Test_rollout.suite);

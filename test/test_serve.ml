@@ -464,6 +464,61 @@ let test_read_from_torn_tail () =
         | Error _ -> true
         | Ok _ -> false))
 
+(* --- client read buffer ----------------------------------------------------- *)
+
+(* [rwc watch] calls [Client.recv] once per event.  Once a read has
+   buffered a burst of events, taking each of them must cost only its
+   own (minor-heap) payload and parse: no fresh read buffer, no copy of
+   what is still pending. *)
+let test_client_recv_buffered_no_major () =
+  let dir = Filename.temp_file "rwc_test_serve_client" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path = Filename.concat dir "s.sock" in
+  let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close lfd;
+      (try Sys.remove path with Sys_error _ -> ());
+      Sys.rmdir dir)
+    (fun () ->
+      Unix.bind lfd (Unix.ADDR_UNIX path);
+      Unix.listen lfd 1;
+      let client = D.Client.connect path in
+      let server, _ = Unix.accept ~cloexec:true lfd in
+      let n = 200 in
+      let burst =
+        String.concat ""
+          (List.init n (fun seq ->
+               T.encode T.Jsonl
+                 (Json.to_string
+                    (Rpc.notification ~meth:"stream.event"
+                       (Json.Assoc
+                          [
+                            ("topic", Json.String "decision");
+                            ("seq", Json.Int seq);
+                            ("data", Json.Assoc [ ("link", Json.Int (seq mod 43)) ]);
+                          ])))))
+      in
+      Alcotest.(check bool) "burst spans several KiB" true (String.length burst > 8192);
+      ignore (Unix.write_substring server burst 0 (String.length burst));
+      let seq_of = function
+        | Ok msg -> (
+            match Json.member "params" msg with
+            | Some p -> jint p "seq"
+            | None -> Alcotest.fail "not a notification")
+        | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check int) "first event" 0 (seq_of (D.Client.recv client));
+      Gc.minor ();
+      let _, _, major0 = Gc.counters () in
+      let seqs = List.init (n - 1) (fun _ -> seq_of (D.Client.recv client)) in
+      let _, _, major1 = Gc.counters () in
+      Alcotest.(check (list int)) "the rest, in order" (List.init (n - 1) succ) seqs;
+      Alcotest.(check (float 0.0)) "no major words" 0.0 (major1 -. major0);
+      D.Client.close client;
+      Unix.close server)
+
 (* --- satellite: metrics snapshot deltas ------------------------------------ *)
 
 let test_snapshot_delta () =
@@ -554,6 +609,8 @@ let suite =
       test_engine_queries_after_seal;
     Alcotest.test_case "read_from skips torn tails" `Quick
       test_read_from_torn_tail;
+    Alcotest.test_case "client recv of buffered events: no major words" `Quick
+      test_client_recv_buffered_no_major;
     Alcotest.test_case "metrics snapshot deltas" `Quick test_snapshot_delta;
     Alcotest.test_case "progress render forms" `Quick test_progress_render_forms;
     Alcotest.test_case "progress non-tty lines" `Quick
