@@ -23,6 +23,21 @@ dune runtest
 echo "== instrumented smoke: rwc simulate --days 2 --metrics /dev/null =="
 dune exec bin/rwc.exe -- simulate --days 2 --metrics /dev/null
 
+echo "== solve-memo smoke: every TE recompute is a memo hit or a real solve =="
+# Each run memoizes its last 8 distinct TE inputs: a recompute whose
+# capacity vector repeats restores the stored result instead of
+# solving.  The memo must hit on this run, and the counters must add up.
+MEMO_OUT="$(mktemp)"
+dune exec bin/rwc.exe -- simulate --days 2 --policy adaptive-efficient \
+  --metrics > /dev/null 2> "$MEMO_OUT"
+HITS="$(awk '$1 == "te/cache_hits" { print $3 }' "$MEMO_OUT")"
+RECOMPUTES="$(awk '$1 == "te/recomputes" { print $3 }' "$MEMO_OUT")"
+SOLVES="$(sed -n 's|^te/mcf_solve  *histogram  *n=\([0-9]*\).*|\1|p' "$MEMO_OUT")"
+echo "te/recomputes=$RECOMPUTES te/cache_hits=$HITS te/mcf_solve n=$SOLVES"
+[ "${HITS:-0}" -gt 0 ]
+[ "${RECOMPUTES:-0}" -eq "$((HITS + ${SOLVES:-0}))" ]
+rm -f "$MEMO_OUT"
+
 echo "== chaos smoke: rwc chaos --days 2 --factor 1 --policy adaptive-stock --json =="
 CHAOS_JSON="$(mktemp)"
 dune exec bin/rwc.exe -- chaos --days 2 --factor 1 --policy adaptive-stock \
@@ -195,7 +210,10 @@ echo "== serve rollout smoke: propose/approve RPCs, forced gate, rollback =="
 # gate, roll every admitted link back, and journal the whole chain.
 ROLL_DIR="$(mktemp -d)"
 ROLL_SOCK="$ROLL_DIR/rwc.sock"
-"$RWC" serve --days 2 --policy adaptive-stock --faults default --slo default \
+# The proposal must land while the run is live, so the run has to last
+# a few hundred milliseconds of wall time: 20 sim-days.  Most TE
+# recomputes are solve-memo hits, so 2 sim-days finish in ~0.1 s.
+"$RWC" serve --days 20 --policy adaptive-stock --faults default --slo default \
   --journal "$ROLL_DIR/journal.jsonl" --socket "$ROLL_SOCK" \
   > "$ROLL_DIR/serve.out" &
 ROLL_PID=$!

@@ -129,6 +129,7 @@ module Trace = Rwc_obs.Trace
 
 let m_te_recompute = Metrics.histogram "te/recompute"
 let m_te_count = Metrics.counter "te/recomputes"
+let m_te_cache_hits = Metrics.counter "te/cache_hits"
 let m_snr_sweep = Metrics.histogram "sim/snr_sweep"
 let m_failures = Metrics.counter "sim/failures"
 let m_flaps = Metrics.counter "sim/flaps"
@@ -432,22 +433,38 @@ let run_policy ~config ~backbone ?recover ?restore policy =
       last_te_time := now
     end
   in
+  (* Topology, commodities and epsilon are fixed for the run, so the
+     capacity vector alone determines a solve: a repeated vector takes
+     the stored total and flows instead of solving again.  The memo is
+     not checkpointed — a resumed run starts it empty and re-solves,
+     which yields the same bits. *)
+  let memo = Te_memo.create () in
+  let capacity_key () =
+    Array.map (fun d -> int_of_float (Netstate.capacity_gbps d)) net.Netstate.ducts
+  in
   let recompute_te now =
     Trace.with_span "te/recompute" (fun () ->
         Metrics.time m_te_recompute (fun () ->
             Metrics.incr m_te_count;
             flush_te now;
-            let g = Netstate.graph net in
-            let te = Rwc_core.Te.mcf ~epsilon:config.epsilon g commodities in
-            current_total := te.Rwc_core.Te.total_gbps;
-            (* Edges 2i and 2i+1 are duct i's two directions, in
-               construction order. *)
-            Array.iteri
-              (fun i _ ->
-                duct_flow.(i) <-
-                  te.Rwc_core.Te.flow.(2 * i)
-                  +. te.Rwc_core.Te.flow.((2 * i) + 1))
-              duct_flow;
+            let key = capacity_key () in
+            (match Te_memo.find memo key ~into:duct_flow with
+            | Some total ->
+                Metrics.incr m_te_cache_hits;
+                current_total := total
+            | None ->
+                let g = Netstate.graph net in
+                let te = Rwc_core.Te.mcf ~epsilon:config.epsilon g commodities in
+                current_total := te.Rwc_core.Te.total_gbps;
+                (* Edges 2i and 2i+1 are duct i's two directions, in
+                   construction order. *)
+                Array.iteri
+                  (fun i _ ->
+                    duct_flow.(i) <-
+                      te.Rwc_core.Te.flow.(2 * i)
+                      +. te.Rwc_core.Te.flow.((2 * i) + 1))
+                  duct_flow;
+                Te_memo.add memo key ~total:!current_total ~flow:duct_flow);
             current_capacity :=
               Array.fold_left
                 (fun acc (d : Netstate.duct_state) ->
@@ -921,7 +938,9 @@ let run_policy ~config ~backbone ?recover ?restore policy =
      reads except [lv_whatif], which previews a capacity change by
      mutating the duct, rerunning TE on the hypothetical graph and
      reverting — guaranteed even on exceptions, so a hooked run stays
-     byte-identical to an unhooked one. *)
+     byte-identical to an unhooked one.  A previewed vector the memo
+     holds is answered from it; the what-if never inserts or reorders,
+     so it cannot change what the run itself hits. *)
   let live =
     let check link =
       if link < 0 || link >= Array.length ducts then
@@ -966,11 +985,15 @@ let run_policy ~config ~backbone ?recover ?restore policy =
             (fun () ->
               d.Netstate.per_lambda_gbps <- gbps;
               d.Netstate.up <- gbps > 0;
-              let te =
-                Rwc_core.Te.mcf ~epsilon:config.epsilon (Netstate.graph net)
-                  commodities
+              let after =
+                match Te_memo.peek memo (capacity_key ()) with
+                | Some total -> total
+                | None ->
+                    (Rwc_core.Te.mcf ~epsilon:config.epsilon (Netstate.graph net)
+                       commodities)
+                      .Rwc_core.Te.total_gbps
               in
-              (before, te.Rwc_core.Te.total_gbps)));
+              (before, after)));
     }
   in
   (match config.hooks.on_run_start with Some f -> f live | None -> ());

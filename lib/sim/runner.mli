@@ -68,7 +68,10 @@ type live = {
           per-wavelength denomination [gbps] (0 = dark), then revert —
           guaranteed even on exceptions, so the run's own state and
           byte-identity are untouched.  TE consumes no randomness, so
-          a what-if mid-run perturbs nothing downstream. *)
+          a what-if mid-run perturbs nothing downstream.  A previewed
+          capacity vector the run's solve memo holds (see {!run}) is
+          answered from the memo without solving; the what-if only
+          reads the memo, so it cannot change what the run hits. *)
 }
 (** A window onto a running policy run, handed to
     [hooks.on_run_start].  The closures remain valid after the run
@@ -198,7 +201,20 @@ type report = {
 val run :
   ?config:config -> ?backbone:Rwc_topology.Backbone.t -> policy -> report
 (** Defaults to the North-American backbone; pass any parsed or
-    embedded topology instead. *)
+    embedded topology instead.
+
+    Each run keeps a {!Te_memo} of its last 8 distinct TE inputs (the
+    per-duct capacity vector in integer Gbps) with their routed total
+    and per-duct flow.  A TE recomputation whose input is in the memo
+    restores that result instead of building the graph and solving
+    again; it is still counted in [te/recomputes] and timed in the
+    [te/recompute] span, and it counts in [te/cache_hits], not in
+    [te/mcf_solve] or {!Rwc_perf}'s [te_solve].  Topology, commodities
+    and epsilon are fixed for a run and the solver is pure, so a hit
+    yields the bits a fresh solve would.  The memo belongs to this one
+    run: it is not shared across policies or runs and is not
+    checkpointed, so a resumed run starts it empty and re-solves to
+    the same bytes. *)
 
 val compare_policies :
   ?config:config -> ?backbone:Rwc_topology.Backbone.t -> unit -> report list

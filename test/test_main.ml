@@ -34,4 +34,5 @@ let () =
       ("figures", Test_figures.suite);
       ("par", Test_par.suite);
       ("rollout", Test_rollout.suite);
+      ("te-memo", Test_te_memo.suite);
     ]

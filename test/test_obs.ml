@@ -869,12 +869,16 @@ let test_runner_metrics_match_report () =
   let reconfigs = Metrics.counter "sim/reconfigurations" in
   let te_recomputes = Metrics.counter "te/recomputes" in
   let te_hist = Metrics.histogram "te/recompute" in
+  let te_hits = Metrics.counter "te/cache_hits" in
+  let te_solves = Metrics.histogram "te/mcf_solve" in
   let dispatched = Metrics.counter "des/events_dispatched" in
   let base_flaps = Metrics.value flaps
   and base_failures = Metrics.value failures
   and base_reconfigs = Metrics.value reconfigs
   and base_te = Metrics.value te_recomputes
   and base_te_obs = Metrics.hcount te_hist
+  and base_hits = Metrics.value te_hits
+  and base_solves = Metrics.hcount te_solves
   and base_dispatched = Metrics.value dispatched in
   let config =
     {
@@ -910,6 +914,12 @@ let test_runner_metrics_match_report () =
   Alcotest.(check bool) "at least one TE recompute" true (te_delta >= 1);
   Alcotest.(check int) "every recompute timed" te_delta
     (Metrics.hcount te_hist - base_te_obs);
+  (* Every recompute is either a memo hit or a real solve, and only
+     real solves reach the solver's histogram. *)
+  let hits = Metrics.value te_hits - base_hits in
+  let solves = Metrics.hcount te_solves - base_solves in
+  Alcotest.(check bool) "repeated inputs hit the memo" true (hits >= 1);
+  Alcotest.(check int) "recomputes = memo hits + solves" te_delta (hits + solves);
   Alcotest.(check bool) "TE durations positive" true
     (Metrics.percentile te_hist 50.0 > 0.0);
   Alcotest.(check bool) "DES dispatched events" true

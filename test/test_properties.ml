@@ -119,6 +119,39 @@ let prop_mc_lambda_bounded_by_maxflow =
       let mf = Rwc_flow.Maxflow.solve g ~src ~dst in
       r.Rwc_flow.Multicommodity.routed.(0) <= mf.Rwc_flow.Maxflow.value +. 1e-6)
 
+(* The runner's solve memo rests on this: a solve is a pure function of
+   its input, so no state (a reused Dijkstra workspace, say) leaks from
+   one solve into the next.  Solving A, then B, then A again must give
+   A's result bit for bit, through the flow layer and the TE wrapper. *)
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let prop_mc_solve_pure =
+  QCheck.Test.make ~name:"multicommodity: solve A, B, A gives A's bits twice"
+    ~count:150 (QCheck.pair arbitrary_mc arbitrary_mc) (fun (a, b) ->
+      let ga, ca = build_mc a and gb, cb = build_mc b in
+      let epsilon = 0.2 in
+      let module Mc = Rwc_flow.Multicommodity in
+      let mc g c = Mc.solve ~epsilon g c in
+      let te g c = Rwc_core.Te.mcf ~epsilon g c in
+      let mc1 = mc ga ca in
+      ignore (mc gb cb);
+      let mc2 = mc ga ca in
+      let te1 = te ga ca in
+      ignore (te gb cb);
+      let te2 = te ga ca in
+      bits_equal [| mc1.Mc.lambda |] [| mc2.Mc.lambda |]
+      && bits_equal mc1.Mc.flow mc2.Mc.flow
+      && bits_equal mc1.Mc.routed mc2.Mc.routed
+      && bits_equal te1.Rwc_core.Te.flow te2.Rwc_core.Te.flow
+      && bits_equal te1.Rwc_core.Te.routed te2.Rwc_core.Te.routed
+      && bits_equal
+           [| te1.Rwc_core.Te.total_gbps |]
+           [| te2.Rwc_core.Te.total_gbps |])
+
 (* --- adaptation controller invariants ----------------------------------- *)
 
 let trace_gen =
@@ -485,6 +518,7 @@ let suite =
       prop_mincost_limit_respected;
       prop_mc_feasible_and_capped;
       prop_mc_lambda_bounded_by_maxflow;
+      prop_mc_solve_pure;
       prop_adapt_always_feasible;
       prop_availability_bounded;
       prop_event_queue_sorts;

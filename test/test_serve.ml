@@ -272,6 +272,45 @@ let batch =
      Sys.remove path;
      (report, bytes))
 
+(* Wrap [h] to log the run's solve-memo hits and TE recomputes at every
+   sweep boundary, after everything else the hook does there, and to
+   keep the live window for queries after the run.  The counters are
+   process-global and count only while the registry is armed, so the
+   log is relative to the wrap and the run goes through [armed]. *)
+let memo_logged (h : Runner.hooks) =
+  let hits = Metrics.counter "te/cache_hits"
+  and recomputes = Metrics.counter "te/recomputes" in
+  let h0 = Metrics.value hits and r0 = Metrics.value recomputes in
+  let counts () = (Metrics.value hits - h0, Metrics.value recomputes - r0) in
+  let live = ref None and log = ref [] in
+  let hooks =
+    {
+      h with
+      Runner.on_run_start =
+        Some
+          (fun lv ->
+            live := Some lv;
+            Option.iter (fun f -> f lv) h.Runner.on_run_start);
+      on_sweep =
+        Some
+          (fun ~k ~now_s ~events ->
+            Option.iter (fun f -> f ~k ~now_s ~events) h.Runner.on_sweep;
+            log := counts () :: !log);
+    }
+  in
+  let finish () =
+    match !live with
+    | Some lv -> (lv, List.rev (counts () :: !log))
+    | None -> Alcotest.fail "run never started"
+  in
+  (hooks, finish)
+
+(* Run [f] with the metrics registry armed, as [rwc serve] runs. *)
+let armed f =
+  let was = Metrics.enabled () in
+  Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not was then Metrics.disable ()) f
+
 (* The same run served: engine installed, tee live, no client activity. *)
 let served_plain =
   lazy
@@ -279,8 +318,9 @@ let served_plain =
      let jnl = J.create ~path ~slo:J.Slo.default () in
      let engine = D.Engine.create ~journal:jnl ~journal_path:path () in
      D.Engine.install engine;
+     let hooks, memo_log = memo_logged (D.Engine.hooks engine) in
      let report =
-       Runner.run ~config:(run_config jnl (D.Engine.hooks engine)) policy
+       armed (fun () -> Runner.run ~config:(run_config jnl hooks) policy)
      in
      D.Engine.on_policy_done engine
        (Runner.policy_name policy, "", Json.Assoc []);
@@ -288,7 +328,7 @@ let served_plain =
      D.Engine.seal engine;
      let bytes = slurp path in
      Sys.remove path;
-     (report, bytes))
+     (report, bytes, snd (memo_log ())))
 
 type active = {
   av_report : Runner.report;
@@ -297,6 +337,8 @@ type active = {
   av_engine : D.Engine.t;
   av_sub_resp : Json.t;
   av_seqs : int list;  (* decision seqs the mid-run subscriber received *)
+  av_live : Runner.live;
+  av_memo : (int * int) list;  (* (memo hits, TE recomputes) at each sweep *)
 }
 
 (* The same run served under load: what-if previews fired throughout
@@ -337,8 +379,10 @@ let served_active =
          | Some r when Json.member "error" r = None -> sub_resp := jget r "result"
          | _ -> Alcotest.fail "mid-run subscribe failed"
      in
-     let hooks = { eh with Runner.on_sweep = Some on_sweep } in
-     let report = Runner.run ~config:(run_config jnl hooks) policy in
+     let hooks, memo_log = memo_logged { eh with Runner.on_sweep = Some on_sweep } in
+     let report =
+       armed (fun () -> Runner.run ~config:(run_config jnl hooks) policy)
+     in
      D.Engine.on_policy_done engine
        (Runner.policy_name policy, "", Json.Assoc []);
      J.close jnl;
@@ -356,8 +400,11 @@ let served_active =
        | None -> Alcotest.fail "subscriber never bound"
        | Some s -> List.map (fun e -> jint e "seq") (Stream.drain s)
      in
+     let live, memo = memo_log () in
      {
        av_report = report;
+       av_live = live;
+       av_memo = memo;
        av_bytes = bytes;
        av_n_records = List.length records;
        av_engine = engine;
@@ -367,7 +414,7 @@ let served_active =
 
 let test_served_matches_batch () =
   let batch_report, batch_bytes = Lazy.force batch in
-  let served_report, served_bytes = Lazy.force served_plain in
+  let served_report, served_bytes, _ = Lazy.force served_plain in
   Alcotest.(check bool) "reports identical" true (batch_report = served_report);
   Alcotest.(check bool) "journals byte-identical" true
     (batch_bytes = served_bytes);
@@ -375,7 +422,7 @@ let test_served_matches_batch () =
     (String.length batch_bytes > 0)
 
 let test_whatif_purity () =
-  let _, plain_bytes = Lazy.force served_plain in
+  let plain_report, plain_bytes, plain_memo = Lazy.force served_plain in
   let a = Lazy.force served_active in
   (* Dozens of mid-run what-ifs (both the forced-denomination and the
      controller-peek form) and a mid-run replay left the run's journal
@@ -383,7 +430,50 @@ let test_whatif_purity () =
   Alcotest.(check bool) "journal untouched by what-ifs" true
     (plain_bytes = a.av_bytes);
   Alcotest.(check bool) "report untouched by what-ifs" true
-    (fst (Lazy.force served_plain) = a.av_report)
+    (plain_report = a.av_report);
+  (* What-ifs only read the solve memo: the run hit and missed it at
+     exactly the same recomputations. *)
+  Alcotest.(check bool) "run hit the memo" true
+    (fst (List.hd (List.rev plain_memo)) > 0);
+  Alcotest.(check (list (pair int int)))
+    "memo hits and recomputes untouched by what-ifs" plain_memo a.av_memo
+
+(* A what-if that previews a link's current rung while TE is clean asks
+   for the input the run last solved, which the memo holds: it answers
+   with the run's own routed total, bit for bit, without a solve.  The
+   run is over, and the TE tick at the horizon came after its last
+   capacity change, so TE is clean. *)
+let test_whatif_current_rung_hits_memo () =
+  let lv = (Lazy.force served_active).av_live in
+  let link =
+    let rec up i =
+      if i >= lv.Runner.lv_n_ducts then Alcotest.fail "no link up"
+      else
+        let d = lv.Runner.lv_duct i in
+        if d.Runner.dv_up && d.Runner.dv_gbps > 0 then i else up (i + 1)
+    in
+    up 0
+  in
+  let gbps = (lv.Runner.lv_duct link).Runner.dv_gbps in
+  let solves () =
+    List.fold_left
+      (fun acc (p, st) -> if p = Rwc_perf.Te_solve then st.Rwc_perf.count else acc)
+      0 (Rwc_perf.snapshot ())
+  in
+  let was_enabled = Rwc_perf.enabled () in
+  Rwc_perf.enable ();
+  let solves0 = solves () in
+  let before, after =
+    Fun.protect
+      ~finally:(fun () -> if not was_enabled then Rwc_perf.disable ())
+      (fun () -> lv.Runner.lv_whatif ~link ~gbps)
+  in
+  Alcotest.(check int64) "routed after = before, bit for bit"
+    (Int64.bits_of_float before) (Int64.bits_of_float after);
+  Alcotest.(check int64) "before is the run's routed total"
+    (Int64.bits_of_float (lv.Runner.lv_routed_gbps ()))
+    (Int64.bits_of_float before);
+  Alcotest.(check int) "no te_solve recorded" solves0 (solves ())
 
 let test_catchup_no_gaps_no_duplicates () =
   let a = Lazy.force served_active in
@@ -603,6 +693,8 @@ let suite =
     Alcotest.test_case "served matches batch byte-for-byte" `Slow
       test_served_matches_batch;
     Alcotest.test_case "what-ifs perturb nothing" `Slow test_whatif_purity;
+    Alcotest.test_case "current-rung what-if hits the memo" `Slow
+      test_whatif_current_rung_hits_memo;
     Alcotest.test_case "catch-up covers every ordinal once" `Slow
       test_catchup_no_gaps_no_duplicates;
     Alcotest.test_case "queries on a sealed daemon" `Slow
