@@ -56,8 +56,7 @@ let journal_disarmed_loop n =
    returning an immediate, and [stop] on that token is one branch. *)
 let perf_disarmed_loop n =
   for _ = 1 to n do
-    Rwc_perf.stop Rwc_perf.Journal_emit
-      (Sys.opaque_identity (Rwc_perf.start ()))
+    Rwc_perf.stop (Sys.opaque_identity (Rwc_perf.start Rwc_perf.Journal_emit))
   done
 
 (* Armed throughput is a different regime entirely (record allocation,

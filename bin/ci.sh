@@ -36,6 +36,18 @@ SOLVES="$(sed -n 's|^te/mcf_solve  *histogram  *n=\([0-9]*\).*|\1|p' "$MEMO_OUT"
 echo "te/recomputes=$RECOMPUTES te/cache_hits=$HITS te/mcf_solve n=$SOLVES"
 [ "${HITS:-0}" -gt 0 ]
 [ "${RECOMPUTES:-0}" -eq "$((HITS + ${SOLVES:-0}))" ]
+
+echo "== TE kernel smoke: exact dual sums stay rare =="
+# The solver tests the dual objective on every augmenting path against
+# a running estimate and sums it exactly (O(m)) only at phase heads and
+# near 1.  Same run as above: paths must have been taken, and the exact
+# sums must be counted and fewer than the paths.
+PATHS="$(awk '$1 == "mcf/augmenting_paths" { print $3 }' "$MEMO_OUT")"
+RECHECKS="$(awk '$1 == "mcf/dual_rechecks" { print $3 }' "$MEMO_OUT")"
+echo "mcf/augmenting_paths=$PATHS mcf/dual_rechecks=$RECHECKS"
+[ "${PATHS:-0}" -gt 0 ]
+[ -n "$RECHECKS" ]
+[ "$RECHECKS" -lt "$PATHS" ]
 rm -f "$MEMO_OUT"
 
 echo "== chaos smoke: rwc chaos --days 2 --factor 1 --policy adaptive-stock --json =="

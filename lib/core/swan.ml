@@ -27,7 +27,7 @@ let residual_graph g used =
         e.Graph.tag ))
 
 let allocate ?epsilon ?(interactive_k = 2) g demands =
-  let m = max 1 (Graph.n_edges g) in
+  let m = Graph.n_edges g in
   let used = Array.make m 0.0 in
   let allocate_class klass =
     let mine = List.filter (fun d -> d.klass = klass) demands in

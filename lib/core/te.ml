@@ -22,9 +22,9 @@ let mcf ?epsilon g commodities =
 
 let greedy_ksp ?(k = 4) g commodities =
   let m = Graph.n_edges g in
-  let residual = Array.make (max 1 m) 0.0 in
+  let residual = Array.make m 0.0 in
   Graph.iter_edges (fun e -> residual.(e.Graph.id) <- e.Graph.capacity) g;
-  let flow = Array.make (max 1 m) 0.0 in
+  let flow = Array.make m 0.0 in
   let routed = Array.make (Array.length commodities) 0.0 in
   (* Largest demands first, as B4 allocates high-priority/elephant
      flows before the long tail. *)

@@ -13,7 +13,9 @@
     water-filler (B4-style progressive allocation). *)
 
 type result = {
-  flow : float array;  (** Per edge of the graph it was given. *)
+  flow : float array;
+      (** Per edge of the graph it was given: exactly
+          [Graph.n_edges g] entries. *)
   routed : float array;  (** Per commodity. *)
   total_gbps : float;
 }

@@ -9,7 +9,12 @@ type 'tag edge = {
   tag : 'tag;
 }
 
-type csr = { offsets : int array; edge_ids : edge_id array; dsts : int array }
+type csr = {
+  offsets : int array;
+  edge_ids : edge_id array;
+  dsts : int array;
+  srcs : int array;
+}
 
 type 'tag t = {
   n : int;
@@ -79,15 +84,17 @@ let out_csr t =
         offsets.(v) <- offsets.(v) + offsets.(v - 1)
       done;
       let edge_ids = Array.make t.count 0 and dsts = Array.make t.count 0 in
+      let srcs = Array.make t.count 0 in
       let next = Array.sub offsets 1 t.n in
       List.iter
         (fun e ->
           let i = next.(e.src) - 1 in
           next.(e.src) <- i;
           edge_ids.(i) <- e.id;
-          dsts.(i) <- e.dst)
+          dsts.(i) <- e.dst;
+          srcs.(e.id) <- e.src)
         t.edges_rev;
-      let c = { offsets; edge_ids; dsts } in
+      let c = { offsets; edge_ids; dsts; srcs } in
       t.csr <- Some c;
       c
 

@@ -41,6 +41,7 @@ type csr = private {
           [offsets.(v)] to [offsets.(v + 1) - 1]. *)
   edge_ids : edge_id array;  (** Edge id in each slot. *)
   dsts : int array;  (** Head vertex of each slot's edge. *)
+  srcs : int array;  (** Tail vertex of each edge, indexed by edge id. *)
 }
 (** Flat out-adjacency (compressed sparse rows): the same edges, in
     the same order, as {!out_edges}, but readable without allocating.

@@ -18,7 +18,10 @@ type result = {
           [lambda *. demand] simultaneously.  At most 1.0 — demands
           are never over-served — except with no commodities at all,
           where it is [infinity]. *)
-  flow : float array;  (** Feasible per-edge flow after scaling. *)
+  flow : float array;
+      (** Feasible per-edge flow after scaling, indexed by edge id:
+          exactly [Graph.n_edges g] entries, none on a graph without
+          edges. *)
   routed : float array;
       (** Per-commodity shipped amount; never exceeds the commodity's
           demand. *)
@@ -31,11 +34,16 @@ val solve :
     [src <> dst].  Smaller epsilon = tighter approximation, more
     shortest-path iterations.
 
-    Counters: [mcf/phases], [mcf/augmenting_paths], and
+    Counters: [mcf/phases], [mcf/augmenting_paths],
     [mcf/phase_cap_hits], which counts solves cut short by the
-    10,000-phase cap before the dual objective reached 1.  A phase
-    that finds no augmenting path (every commodity unreachable) ends
-    the solve, since every later phase would repeat it. *)
+    10,000-phase cap before the dual objective reached 1, and
+    [mcf/dual_rechecks], which counts the exact O(m) sums of the dual
+    objective: one at each phase-head test and one after the last,
+    plus one for each path test made while the running estimate of
+    the sum was within 1e-6 of 1.  It stays far below the path
+    count.  A phase that finds no augmenting path (every commodity
+    unreachable) ends the solve, since every later phase would repeat
+    it. *)
 
 val total_throughput : result -> float
 (** Sum of shipped amounts over commodities. *)

@@ -8,20 +8,39 @@ let path_capacity g p =
     (fun acc e -> Float.min acc (Graph.edge g e).Graph.capacity)
     infinity p
 
-(* Dijkstra over a reusable workspace.  The heap is a binary min-heap
-   of (priority, vertex) stored as two parallel arrays, so pushing and
-   popping allocate nothing; its sift-up/sift-down discipline and the
-   1e-12 slack in the pop and relax tests fix the pop order, and with it
-   which of several equal-cost paths is returned.  Each vertex is
-   finalized once and relaxes each of its out-edges at most once, so the
-   heap never holds more than m + 1 entries.  It starts at n + 1 slots
-   and doubles when full, which keeps a one-shot search off the major
-   heap; a reused workspace stops growing after its first searches. *)
+(* Dijkstra over a reusable workspace.  The workspace holds a view of
+   the graph: the out-edges that passed the [usable] filter when the
+   view was taken, as flat arrays in {!Graph.out_csr} order, and the
+   CSR's per-edge tail array for the path walk, so a search reads
+   neither a filter closure nor an edge record.  The heap is a
+   binary min-heap of (priority, vertex) stored as two parallel arrays,
+   so pushing and popping allocate nothing; its sift-up/sift-down
+   discipline and the 1e-12 slack in the pop and relax tests fix the pop
+   order, and with it which of several equal-cost paths is returned.
+   Sifting moves a hole rather than swapping, but makes the same
+   comparisons, so the order is the one a swapping heap gives.  Each
+   vertex is finalized once and relaxes each of its out-edges at most
+   once, so the heap never holds more than m + 1 entries.  It starts at
+   n + 1 slots and doubles when full, which keeps a one-shot search off
+   the major heap; a reused workspace stops growing after its first
+   searches. *)
 module Workspace = struct
   type t = {
+    csr : Graph.csr;
+    n : int;
+    m : int;
+    (* The view: usable out-edges of vertex [v] in slots [offsets.(v)]
+       to [offsets.(v + 1) - 1].  Unfiltered, these are the graph's
+       cached CSR arrays, which must not be written; [filter] gives
+       the workspace arrays of its own first. *)
+    mutable shared : bool;
+    mutable offsets : int array;
+    mutable edge_ids : Graph.edge_id array;
+    mutable heads : int array;
     dist : float array;
     prev : Graph.edge_id array;  (* edge into each vertex on its best path *)
-    visited : bool array;
+    finalized : int array;  (* = [stamp] once finalized in this search *)
+    mutable stamp : int;
     mutable prio : float array;  (* heap *)
     mutable vertex : int array;
     mutable size : int;
@@ -29,18 +48,52 @@ module Workspace = struct
     mutable path_len : int;
   }
 
-  let create g =
-    let n = max 1 (Graph.n_vertices g) in
-    {
-      dist = Array.make n infinity;
-      prev = Array.make n (-1);
-      visited = Array.make n false;
-      prio = Array.make (n + 1) 0.0;
-      vertex = Array.make (n + 1) 0;
-      size = 0;
-      path = Array.make n 0;
-      path_len = 0;
-    }
+  let filter ws ~usable =
+    if ws.shared then begin
+      ws.shared <- false;
+      ws.offsets <- Array.make (ws.n + 1) 0;
+      ws.edge_ids <- Array.make ws.m 0;
+      ws.heads <- Array.make ws.m 0
+    end;
+    let csr = ws.csr and k = ref 0 in
+    for v = 0 to ws.n - 1 do
+      ws.offsets.(v) <- !k;
+      for i = csr.Graph.offsets.(v) to csr.Graph.offsets.(v + 1) - 1 do
+        let eid = csr.Graph.edge_ids.(i) in
+        if usable eid then begin
+          ws.edge_ids.(!k) <- eid;
+          ws.heads.(!k) <- csr.Graph.dsts.(i);
+          incr k
+        end
+      done
+    done;
+    ws.offsets.(ws.n) <- !k
+
+  let create ?usable g =
+    let n = Graph.n_vertices g and csr = Graph.out_csr g in
+    let slots = max 1 n in
+    let ws =
+      {
+        csr;
+        n;
+        m = Graph.n_edges g;
+        shared = true;
+        offsets = csr.Graph.offsets;
+        edge_ids = csr.Graph.edge_ids;
+        heads = csr.Graph.dsts;
+        dist = Array.make slots infinity;
+        prev = Array.make slots (-1);
+        finalized = Array.make slots 0;
+        stamp = 0;
+        prio = Array.make (slots + 1) 0.0;
+        vertex = Array.make (slots + 1) 0;
+        size = 0;
+        path = Array.make slots 0;
+        path_len = 0;
+      }
+    in
+    Option.iter (fun usable -> filter ws ~usable) usable;
+    ws
 
   let grow ws =
     let slots = 2 * Array.length ws.vertex in
@@ -50,90 +103,94 @@ module Workspace = struct
     ws.prio <- prio;
     ws.vertex <- vertex
 
-  let[@inline] swap ws i j =
-    let p = ws.prio.(i) and v = ws.vertex.(i) in
-    ws.prio.(i) <- ws.prio.(j);
-    ws.vertex.(i) <- ws.vertex.(j);
-    ws.prio.(j) <- p;
-    ws.vertex.(j) <- v
-
   let[@inline] push ws p v =
     if ws.size = Array.length ws.vertex then grow ws;
+    let prio = ws.prio and vertex = ws.vertex in
     let i = ref ws.size in
-    ws.prio.(!i) <- p;
-    ws.vertex.(!i) <- v;
     ws.size <- ws.size + 1;
-    while !i > 0 && ws.prio.((!i - 1) / 2) > ws.prio.(!i) do
+    while !i > 0 && prio.((!i - 1) / 2) > p do
       let parent = (!i - 1) / 2 in
-      swap ws parent !i;
+      prio.(!i) <- prio.(parent);
+      vertex.(!i) <- vertex.(parent);
       i := parent
-    done
+    done;
+    prio.(!i) <- p;
+    vertex.(!i) <- v
 
-  (* Drops the minimum; read it from slot 0 first. *)
+  (* Drops the minimum; read it from slot 0 first.  The last entry
+     sinks from the root: at each level the smaller child, the left one
+     on a tie, moves up if it is strictly smaller than the entry. *)
   let[@inline] pop ws =
-    ws.size <- ws.size - 1;
-    ws.prio.(0) <- ws.prio.(ws.size);
-    ws.vertex.(0) <- ws.vertex.(ws.size);
+    let prio = ws.prio and vertex = ws.vertex in
+    let size = ws.size - 1 in
+    ws.size <- size;
+    let p = prio.(size) and v = vertex.(size) in
     let i = ref 0 and looping = ref true in
     while !looping do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < ws.size && ws.prio.(l) < ws.prio.(!s) then s := l;
-      if r < ws.size && ws.prio.(r) < ws.prio.(!s) then s := r;
-      if !s = !i then looping := false
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let s = if l < size && prio.(l) < p then l else !i in
+      let s = if r < size && prio.(r) < (if s = l then prio.(l) else p) then r else s in
+      if s = !i then looping := false
       else begin
-        swap ws !i !s;
-        i := !s
-      end
-    done
-
-  let dijkstra ws g ~usable ~length ~src ~dst =
-    let n = Graph.n_vertices g in
-    let adj = Graph.out_csr g in
-    assert (n <= Array.length ws.dist);
-    assert (Graph.n_edges g <= Array.length length);
-    Array.fill ws.dist 0 n infinity;
-    Array.fill ws.prev 0 n (-1);
-    Array.fill ws.visited 0 n false;
-    ws.size <- 0;
-    ws.path_len <- 0;
-    ws.dist.(src) <- 0.0;
-    push ws 0.0 src;
-    while ws.size > 0 && not ws.visited.(dst) do
-      let d = ws.prio.(0) and v = ws.vertex.(0) in
-      pop ws;
-      if (not ws.visited.(v)) && d <= ws.dist.(v) +. 1e-12 then begin
-        ws.visited.(v) <- true;
-        if v <> dst then
-          for i = adj.Graph.offsets.(v) to adj.Graph.offsets.(v + 1) - 1 do
-            let eid = adj.Graph.edge_ids.(i) in
-            if usable eid then begin
-              let c = length.(eid) in
-              assert (c >= 0.0);
-              let w = adj.Graph.dsts.(i) in
-              let nd = ws.dist.(v) +. c in
-              if nd < ws.dist.(w) -. 1e-12 then begin
-                ws.dist.(w) <- nd;
-                ws.prev.(w) <- eid;
-                push ws nd w
-              end
-            end
-          done
+        prio.(!i) <- prio.(s);
+        vertex.(!i) <- vertex.(s);
+        i := s
       end
     done;
-    if not (ws.dist.(dst) < infinity) then false
+    prio.(!i) <- p;
+    vertex.(!i) <- v
+
+  let dijkstra ws ~length ~src ~dst =
+    let dist = ws.dist and prev = ws.prev and finalized = ws.finalized in
+    let tails = ws.csr.Graph.srcs in
+    let offsets = ws.offsets and edge_ids = ws.edge_ids and heads = ws.heads in
+    assert (ws.m <= Array.length length);
+    Array.fill dist 0 ws.n infinity;
+    ws.stamp <- ws.stamp + 1;
+    let stamp = ws.stamp in
+    ws.size <- 0;
+    ws.path_len <- 0;
+    dist.(src) <- 0.0;
+    push ws 0.0 src;
+    while ws.size > 0 && finalized.(dst) <> stamp do
+      let d = ws.prio.(0) and v = ws.vertex.(0) in
+      pop ws;
+      if finalized.(v) <> stamp && d <= dist.(v) +. 1e-12 then begin
+        finalized.(v) <- stamp;
+        if v <> dst then begin
+          (* Relaxing [v]'s out-edges cannot lower [dist.(v)]. *)
+          let dv = dist.(v) in
+          for i = offsets.(v) to offsets.(v + 1) - 1 do
+            let eid = edge_ids.(i) in
+            let c = length.(eid) in
+            assert (c >= 0.0);
+            let w = heads.(i) in
+            let nd = dv +. c in
+            if nd < dist.(w) -. 1e-12 then begin
+              dist.(w) <- nd;
+              prev.(w) <- eid;
+              push ws nd w
+            end
+          done
+        end
+      end
+    done;
+    if not (dist.(dst) < infinity) then false
     else begin
-      (* Walk back once to count the hops, again to fill the buffer. *)
+      (* Walk back once to count the hops, again to fill the buffer.
+         Only vertices reached in this search are on the walk, so
+         [prev] needs no reset between searches. *)
       let v = ref dst in
       while !v <> src do
         ws.path_len <- ws.path_len + 1;
-        v := (Graph.edge g ws.prev.(!v)).Graph.src
+        v := tails.(prev.(!v))
       done;
       v := dst;
       for i = ws.path_len - 1 downto 0 do
-        let eid = ws.prev.(!v) in
+        let eid = prev.(!v) in
         ws.path.(i) <- eid;
-        v := (Graph.edge g eid).Graph.src
+        v := tails.(eid)
       done;
       true
     end
@@ -147,14 +204,12 @@ module Workspace = struct
   let path ws = Array.to_list (Array.sub ws.path 0 ws.path_len)
 end
 
-let dijkstra ?(usable = fun _ -> true) ?cost g ~src ~dst =
+let dijkstra ?usable ?cost g ~src ~dst =
   let length =
     match cost with Some f -> Array.init (Graph.n_edges g) f | None -> Graph.costs g
   in
-  let ws = Workspace.create g in
-  if Workspace.dijkstra ws g ~usable ~length ~src ~dst then
-    Some (Workspace.path ws)
-  else None
+  let ws = Workspace.create ?usable g in
+  if Workspace.dijkstra ws ~length ~src ~dst then Some (Workspace.path ws) else None
 
 let bellman_ford g ~src =
   let n = Graph.n_vertices g in
@@ -184,11 +239,10 @@ let bellman_ford g ~src =
 let k_shortest g ~src ~dst ~k =
   assert (k >= 0);
   let ws = Workspace.create g and length = Graph.costs g in
-  let shortest ~usable ~src =
-    if Workspace.dijkstra ws g ~usable ~length ~src ~dst then Some (Workspace.path ws)
-    else None
+  let shortest ~src =
+    if Workspace.dijkstra ws ~length ~src ~dst then Some (Workspace.path ws) else None
   in
-  match shortest ~usable:(fun _ -> true) ~src with
+  match shortest ~src with
   | None -> []
   | Some first ->
       let vertices_of p =
@@ -233,7 +287,8 @@ let k_shortest g ~src ~dst ~k =
             && (not (List.mem e.Graph.dst root_interior))
             && not (List.mem e.Graph.src root_interior)
           in
-          match shortest ~usable ~src:spur with
+          Workspace.filter ws ~usable;
+          match shortest ~src:spur with
           | None -> ()
           | Some spur_path -> add_candidate (root @ spur_path)
         done;

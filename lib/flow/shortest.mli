@@ -21,8 +21,8 @@ val dijkstra :
   path option
 (** Least-cost path using non-negative edge costs; [usable] filters
     edges (default: all).  [None] when unreachable.  [cost] overrides
-    the per-edge cost (default: the edge's [cost]); it is read once for
-    every edge before the search.  A one-shot {!Workspace.dijkstra};
+    the per-edge cost (default: the edge's [cost]).  Both are read
+    once for every edge before the search.  A one-shot {!Workspace.dijkstra};
     callers that search the same graph repeatedly should keep a
     workspace instead.  The search stops as soon as [dst] is
     finalized. *)
@@ -30,29 +30,33 @@ val dijkstra :
 (** Scratch space for repeated searches over one graph.  The
     multicommodity solver re-runs Dijkstra under a length function
     that changes after every augmenting path; with a workspace those
-    runs allocate nothing.  Ties between equal-cost paths are broken
-    exactly as {!dijkstra} breaks them, because {!dijkstra} is this
-    same search. *)
+    runs allocate nothing.  A workspace holds a view of the graph: its
+    out-edges that passed a [usable] filter, in {!Graph.out_csr} order,
+    taken when the workspace is made or re-filtered.  Ties between
+    equal-cost paths are broken exactly as {!dijkstra} breaks them,
+    because {!dijkstra} is this same search. *)
 module Workspace : sig
   type t
 
-  val create : 'tag Graph.t -> t
-  (** Sized for the graph: reusable for any graph with at most as many
-      vertices.  The heap grows to fit during the first searches;
-      after that a search allocates nothing. *)
+  val create : ?usable:(Graph.edge_id -> bool) -> 'tag Graph.t -> t
+  (** A view of [g] keeping the edges that pass [usable] (default:
+      all), plus O(n) words of scratch.  [usable] is called once per
+      edge, now; edges added to [g] later are not seen.  Without
+      [usable] the view is [g]'s cached {!Graph.out_csr} itself; with
+      it, the view takes O(n + m) words of its own.  The heap grows to
+      fit during the first searches; after that a search allocates
+      nothing. *)
 
-  val dijkstra :
-    t ->
-    'tag Graph.t ->
-    usable:(Graph.edge_id -> bool) ->
-    length:float array ->
-    src:int ->
-    dst:int ->
-    bool
+  val filter : t -> usable:(Graph.edge_id -> bool) -> unit
+  (** Re-takes the view in place, keeping the edges of the graph the
+      workspace was made for that pass [usable].  Allocates only the
+      first time on a workspace made without [usable]. *)
+
+  val dijkstra : t -> length:float array -> src:int -> dst:int -> bool
   (** Least-[length] path ([length] is indexed by edge id, entries
-      non-negative) over the edges passing [usable]; [false] when
-      [dst] is unreachable.  On [true] the path is left in the
-      workspace until the next run. *)
+      non-negative) over the edges in the view; [false] when [dst] is
+      unreachable.  On [true] the path is left in the workspace until
+      the next run. *)
 
   val path_length : t -> int
   (** Edges on the last path found. *)

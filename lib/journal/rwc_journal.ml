@@ -860,7 +860,7 @@ let resume ?path ?(slo = Slo.none) ~at ~events () =
    even a closure allocation per call would be visible in the armed
    profile. *)
 let emit t r =
-  let tok = Rwc_perf.start () in
+  let tok = Rwc_perf.start Rwc_perf.Journal_emit in
   t.n_events <- t.n_events + 1;
   let offset =
     match t.w with
@@ -875,7 +875,7 @@ let emit t r =
   (* The tee fires after the write: a live-stream subscriber can never
      observe a decision the durable log does not yet contain. *)
   (match t.tee with Some f -> f ~seq:(t.n_events - 1) ~offset r | None -> ());
-  Rwc_perf.stop Rwc_perf.Journal_emit tok
+  Rwc_perf.stop tok
 
 let set_tee t f =
   if not t.sink_armed then

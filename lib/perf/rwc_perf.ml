@@ -148,26 +148,35 @@ let observe phase ~dt ~dw =
 
 (* --- recording ----------------------------------------------------- *)
 
-type token = Off | On of { t0 : float; a0 : float }
+type token = Off | On of { phase : phase; t0 : float; a0 : float }
 
-let start () =
-  if not !on then Off
-  else On { t0 = Unix.gettimeofday (); a0 = alloc_words () }
+(* [start] and [stop] are only the flag load or the tag test plus a
+   tail call to the armed work, which stays out of line, so a disarmed
+   call is a frameless leaf.  Each takes one argument: a caller in
+   another module compiled with -opaque (dune's dev profile) cannot
+   inline them and calls them directly, where a two-argument call
+   would go through [caml_apply2]. *)
+let[@inline never] start_armed phase =
+  On { phase; t0 = Unix.gettimeofday (); a0 = alloc_words () }
 
-let stop phase tok =
+let[@inline] start phase = if not !on then Off else start_armed phase
+
+let[@inline never] stop_armed tok =
   match tok with
   | Off -> ()
-  | On { t0; a0 } ->
+  | On { phase; t0; a0 } ->
     if !on then
       observe phase
         ~dt:(Unix.gettimeofday () -. t0)
         ~dw:(alloc_words () -. a0)
 
+let[@inline] stop tok = match tok with Off -> () | On _ -> stop_armed tok
+
 let record phase f =
   if not !on then f ()
   else
-    let tok = start () in
-    Fun.protect ~finally:(fun () -> stop phase tok) f
+    let tok = start phase in
+    Fun.protect ~finally:(fun () -> stop tok) f
 
 let par_add phase ~busy_s ~wall_s =
   if !on then begin

@@ -74,11 +74,13 @@ val par_add : phase -> busy_s:float -> wall_s:float -> unit
     while disarmed. *)
 
 type token
-(** Captured clock + allocation baseline, or nothing when disarmed. *)
+(** The phase with its captured clock + allocation baseline, or
+    nothing when disarmed. *)
 
-val start : unit -> token
-val stop : phase -> token -> unit
-(** Token style for hot paths.  [stop] on a disarmed-at-[start] token
+val start : phase -> token
+val stop : token -> unit
+(** Token style for hot paths: [stop (start phase)] records the
+    interval against [phase].  [stop] on a disarmed-at-[start] token
     is a no-op even if the profiler was armed in between. *)
 
 (** {1 Reading} *)

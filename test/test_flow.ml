@@ -320,11 +320,10 @@ let solve_digest (r : Multicommodity.result) =
 (* The first TE solve of a run on a synthetic fleet, built the way the
    runner builds it: the day-one capacity graph, the top gravity
    demands scaled to the offered load, and the default epsilon. *)
-let day_one ~ducts =
+let first_solve ?(config = Rwc_sim.Runner.default_config) backbone =
   let module Runner = Rwc_sim.Runner in
   let module Traffic = Rwc_topology.Traffic in
-  let c = Runner.default_config in
-  let backbone = Rwc_topology.Backbone.synthetic ~ducts ~seed:7 in
+  let c = config in
   let net =
     Rwc_sim.Netstate.make ~wavelengths:c.Runner.wavelengths ~seed:c.Runner.seed
       backbone
@@ -343,6 +342,8 @@ let day_one ~ducts =
     Traffic.to_commodities
       (List.map (fun d -> { d with Traffic.gbps = d.Traffic.gbps *. scale }) demands),
     c.Runner.epsilon )
+
+let day_one ~ducts = first_solve (Rwc_topology.Backbone.synthetic ~ducts ~seed:7)
 
 (* Small seeded instance [i]: 2-9 vertices, parallel and zero-capacity
    edges, 1-5 commodities (some unreachable), a random epsilon. *)
@@ -376,6 +377,48 @@ let random_instance i =
   let epsilon = [| 0.05; 0.1; 0.2; 0.3; 0.5 |].(Rng.int rng 5) in
   (g, coms, epsilon)
 
+(* Seeded instance [i] of a wider family than {!random_instance}:
+   20-80 vertices at a mean out-degree of 2-5, edges drawn with
+   replacement (so parallel edges occur), one in eight with zero
+   capacity, in one instance in four a vertex cut off from every edge
+   (so commodities touching it are unreachable), and every epsilon
+   from 0.05 to 0.5. *)
+let wide_instance i =
+  let module Rng = Rwc_stats.Rng in
+  let rng = Rng.substream (Rng.create 2024) i in
+  let n = 20 + Rng.int rng 61 in
+  let cut = if Rng.int rng 4 = 0 then Rng.int rng n else -1 in
+  let g = Graph.create ~n in
+  for _ = 1 to n * (2 + Rng.int rng 4) do
+    let s = Rng.int rng n in
+    let d = (s + 1 + Rng.int rng (n - 1)) mod n in
+    let capacity =
+      match Rng.int rng 8 with
+      | 0 -> 0.0
+      | 1 | 2 -> Rng.uniform rng ~lo:0.1 ~hi:30.0
+      | _ -> float_of_int (1 + Rng.int rng 100)
+    in
+    if s <> cut && d <> cut then
+      ignore (Graph.add_edge g ~src:s ~dst:d ~capacity ~cost:1.0 ())
+  done;
+  let coms =
+    Array.init (1 + Rng.int rng 5) (fun _ ->
+        let s = Rng.int rng n in
+        let d = (s + 1 + Rng.int rng (n - 1)) mod n in
+        { Multicommodity.src = s; dst = d; demand = Rng.uniform rng ~lo:1.0 ~hi:300.0 })
+  in
+  (* Weighted towards the large epsilons: one solve at 0.05 costs as
+     much as ~50 at 0.5. *)
+  let epsilon =
+    match Rng.int rng 32 with
+    | 0 -> 0.05
+    | 1 | 2 | 3 -> 0.1
+    | k when k < 12 -> 0.2
+    | k when k < 22 -> 0.3
+    | _ -> 0.5
+  in
+  (g, coms, epsilon)
+
 (* Digests captured before the augmenting-path loop was made
    allocation-free; any change to the order of floating-point
    operations in the kernel shows up here. *)
@@ -390,10 +433,56 @@ let test_mcf_golden_random () =
   let digests =
     List.init 200 (fun i ->
         let g, coms, epsilon = random_instance i in
-        solve_digest (Multicommodity.solve ~epsilon g coms))
+        let r = Multicommodity.solve ~epsilon g coms in
+        let m = Graph.n_edges g in
+        Alcotest.(check int) "one flow entry per edge" m (Array.length r.Multicommodity.flow);
+        (* The digest was captured when the flow of an edge-less graph
+           (instances 6, 22, 62, 74 and 192) held one spurious zero;
+           digest that entry back so every other bit stays pinned. *)
+        solve_digest
+          (if m = 0 then { r with Multicommodity.flow = [| 0.0 |] } else r))
   in
   Alcotest.(check string) "200 random instances" "85b729443745337a84315a095e5346f3"
     (Digest.to_hex (Digest.string (String.concat "" digests)))
+
+(* This digest and the next were captured before the shortest-path
+   view and the running dual check went into the kernel. *)
+let test_mcf_golden_wide () =
+  let digests =
+    List.init 1000 (fun i ->
+        let g, coms, epsilon = wide_instance i in
+        solve_digest (Multicommodity.solve ~epsilon g coms))
+  in
+  Alcotest.(check string) "1,000 wide instances" "7868b80b143f2f71f766307929ab5548"
+    (Digest.to_hex (Digest.string (String.concat "" digests)))
+
+(* The North America solve at durable_na's knobs: top 10 demands,
+   epsilon 0.3. *)
+let test_mcf_golden_na () =
+  let g, coms, epsilon =
+    first_solve
+      ~config:{ Rwc_sim.Runner.default_config with top_demands = 10; epsilon = 0.3 }
+      Rwc_topology.Backbone.north_america
+  in
+  Alcotest.(check string) "north america" "2845c34423c73d358e5c143d06ea84ad"
+    (solve_digest (Multicommodity.solve ~epsilon g coms))
+
+(* Every TE result carries exactly one flow entry per edge, also on a
+   graph with no edges at all. *)
+let test_te_flow_one_entry_per_edge () =
+  let coms = [| { Multicommodity.src = 0; dst = 1; demand = 5.0 } |] in
+  let bare = Graph.create ~n:2 and diamond, _ = diamond () in
+  List.iter
+    (fun (name, g) ->
+      let m = Graph.n_edges g in
+      let entries what flow =
+        Alcotest.(check int) (Printf.sprintf "%s, %s" what name) m (Array.length flow)
+      in
+      entries "solve" (Multicommodity.solve g coms).Multicommodity.flow;
+      entries "solve, no commodities" (Multicommodity.solve g [||]).Multicommodity.flow;
+      entries "Te.mcf" (Rwc_core.Te.mcf g coms).Rwc_core.Te.flow;
+      entries "Te.greedy_ksp" (Rwc_core.Te.greedy_ksp g coms).Rwc_core.Te.flow)
+    [ ("no edges", bare); ("diamond", diamond) ]
 
 (* Runs [f] with metrics on and zeroed; returns its result and the
    values of the named counters afterwards. *)
@@ -447,6 +536,25 @@ let test_mcf_counts_phase_cap () =
   Alcotest.(check (float 1e-9)) "lambda" 1.0 r.Multicommodity.lambda;
   Alcotest.(check (list int)) "capped" [ 10_000; 10_000; 1 ] counts
 
+let test_mcf_dual_rechecks_rare () =
+  let g, coms, epsilon = day_one ~ducts:200 in
+  let _, counts =
+    with_counters [ "mcf/augmenting_paths"; "mcf/dual_rechecks"; "mcf/phases" ]
+      (fun () -> Multicommodity.solve ~epsilon g coms)
+  in
+  match counts with
+  | [ paths; rechecks; phases ] ->
+      (* phases + 1 exact sums at the loop head (the last one ends
+         the loop) and one after it, plus the fallbacks taken near 1,
+         which this instance does reach; all far fewer than the
+         paths. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%d phases + 2 < %d rechecks < %d paths / 100" phases rechecks
+           paths)
+        true
+        (phases + 2 < rechecks && rechecks < paths / 100)
+  | _ -> assert false
+
 let test_mcf_alloc_independent_of_paths () =
   (* A tighter epsilon takes many more augmenting paths on the same
      instance; with an allocation-free path loop the words allocated
@@ -494,12 +602,20 @@ let test_dijkstra_tie_break () =
 let test_workspace_allocates_nothing () =
   let g, _, _ = day_one ~ducts:50 in
   let n = Graph.n_vertices g in
-  let length = Graph.costs g and usable _ = true in
+  let length = Graph.costs g in
   let ws = Shortest.Workspace.create g in
   let all_pairs () =
+    (* Re-filtering the view in place allocates nothing either. *)
+    Shortest.Workspace.filter ws ~usable:(fun e -> e mod 7 <> 0);
     for src = 0 to n - 1 do
       for dst = 0 to n - 1 do
-        ignore (Shortest.Workspace.dijkstra ws g ~usable ~length ~src ~dst)
+        ignore (Shortest.Workspace.dijkstra ws ~length ~src ~dst)
+      done
+    done;
+    Shortest.Workspace.filter ws ~usable:(fun _ -> true);
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        ignore (Shortest.Workspace.dijkstra ws ~length ~src ~dst)
       done
     done
   in
@@ -631,8 +747,9 @@ let prop_workspace_reuse =
           let usable e = not banned.(e) in
           let src = a mod n and dst = b mod n in
           let fresh = Shortest.dijkstra ~usable ~cost:(Array.get length) g ~src ~dst in
+          Shortest.Workspace.filter ws ~usable;
           let reused =
-            if Shortest.Workspace.dijkstra ws g ~usable ~length ~src ~dst then
+            if Shortest.Workspace.dijkstra ws ~length ~src ~dst then
               Some (Shortest.Workspace.path ws)
             else None
           in
@@ -709,9 +826,14 @@ let suite =
     Alcotest.test_case "mcf golden day-one 200" `Quick
       (test_mcf_golden_day_one 200 "834788a5a149ebac833c3ffe0499bc1f");
     Alcotest.test_case "mcf golden random" `Quick test_mcf_golden_random;
+    Alcotest.test_case "mcf golden wide" `Quick test_mcf_golden_wide;
+    Alcotest.test_case "mcf golden north america" `Quick test_mcf_golden_na;
+    Alcotest.test_case "te flow one entry per edge" `Quick
+      test_te_flow_one_entry_per_edge;
     Alcotest.test_case "mcf stops when nothing routable" `Quick
       test_mcf_stops_when_nothing_routable;
     Alcotest.test_case "mcf counts phase cap" `Quick test_mcf_counts_phase_cap;
+    Alcotest.test_case "mcf dual rechecks rare" `Quick test_mcf_dual_rechecks_rare;
     Alcotest.test_case "mcf alloc independent of paths" `Quick
       test_mcf_alloc_independent_of_paths;
     Alcotest.test_case "dijkstra tie-break" `Quick test_dijkstra_tie_break;

@@ -38,8 +38,8 @@ let test_profiler_basics () =
     P.record P.Te_solve (fun () -> ignore (Sys.opaque_identity (Array.make 100 0)))
   done;
   P.record P.Journal_emit (fun () -> ());
-  (let tok = P.start () in
-   P.stop P.Journal_emit tok);
+  (let tok = P.start P.Journal_emit in
+   P.stop tok);
   P.disable ();
   (match P.snapshot () with
   | [ (P.Te_solve, te); (P.Journal_emit, je) ] ->
@@ -51,9 +51,9 @@ let test_profiler_basics () =
         (te.P.p50_s <= te.P.p95_s +. 1e-12 && te.P.p95_s <= te.P.max_s +. 1e-12)
   | l -> Alcotest.failf "unexpected snapshot shape (%d phases)" (List.length l));
   (* A token captured while disarmed stays dead even if armed later. *)
-  let tok = P.start () in
+  let tok = P.start P.Te_solve in
   P.enable ();
-  P.stop P.Te_solve tok;
+  P.stop tok;
   P.disable ();
   let s = List.assoc P.Te_solve (P.snapshot ()) in
   Alcotest.(check int) "dead token not recorded" 10 s.P.count;
