@@ -107,6 +107,20 @@ dune exec bin/rwc.exe -- simulate --days 2 --policy adaptive-stock \
 diff "$PLAIN_OUT" "$CRASH_OUT"
 cmp "$PLAIN_JOURNAL" "$CRASH_JOURNAL"
 rm -rf "$RECOVER_DIR"
+# Again with guard and staged-rollout state in every checkpoint (first
+# gate forced to fail, so restarts land mid-wave and mid-rollback).
+# --slo stays off: a resumed online SLO tracker can still drift.
+RECOVER_DIR="$(mktemp -d)"
+dune exec bin/rwc.exe -- simulate --days 2 --policy adaptive-stock \
+  --faults default --guard default --rollout wave=2,bake=1800,fail-gate=1 \
+  --journal "$PLAIN_JOURNAL" > "$PLAIN_OUT"
+dune exec bin/rwc.exe -- simulate --days 2 --policy adaptive-stock \
+  --faults default,crash=0.05 --guard default \
+  --rollout wave=2,bake=1800,fail-gate=1 --journal "$CRASH_JOURNAL" \
+  --checkpoint "$RECOVER_DIR" --checkpoint-every 48 > "$CRASH_OUT"
+diff "$PLAIN_OUT" "$CRASH_OUT"
+cmp "$PLAIN_JOURNAL" "$CRASH_JOURNAL"
+rm -rf "$RECOVER_DIR"
 rm -f "$PLAIN_OUT" "$CRASH_OUT" "$PLAIN_JOURNAL" "$CRASH_JOURNAL"
 
 echo "== domains smoke: --domains 4 must not change the bytes =="

@@ -504,6 +504,78 @@ let backbone_of = function
           Printf.eprintf "%s: %s\n" path e;
           exit 2)
 
+(* The runner config simulate, serve and chaos hand to each run; every
+   omitted layer stays at its {!Rwc_sim.Runner.default_config} value. *)
+let sim_config ~days ~seed ~faults ?(guard = Rwc_guard.none)
+    ?(rollout = Rwc_rollout.none) ?(journal = Rwc_journal.disarmed)
+    ?(progress = false) ?(hooks = Rwc_sim.Runner.no_hooks) ~domains () =
+  {
+    Rwc_sim.Runner.default_config with
+    Rwc_sim.Runner.days;
+    seed;
+    faults;
+    guard;
+    rollout;
+    journal;
+    progress;
+    domains;
+    hooks;
+  }
+
+(* --resume and --checkpoint-every only make sense with --checkpoint. *)
+let check_checkpoint_flags cmd ~checkpoint ~checkpoint_every ~resume =
+  if resume && checkpoint = None then begin
+    prerr_endline (Printf.sprintf "rwc %s: --resume requires --checkpoint DIR" cmd);
+    exit 2
+  end;
+  if checkpoint <> None && checkpoint_every <= 0 then begin
+    prerr_endline (Printf.sprintf "rwc %s: --checkpoint-every must be >= 1" cmd);
+    exit 2
+  end
+
+(* Open the --checkpoint directory for [rwc CMD], refuse a checkpoint
+   cut under another seed or horizon, and open the journal: reopened
+   truncated to the checkpoint's high-water mark when resuming, fresh
+   otherwise. *)
+let open_checkpoint cmd ~dir ~every ?journal_path ~slo ~faults ~resume ~seed
+    ~days () =
+  match Rwc_recover.create ~dir ~every ?journal_path ~slo ~faults ~resume () with
+  | Error e ->
+      Printf.eprintf "rwc %s: --checkpoint %s: %s\n" cmd dir e;
+      exit 2
+  | Ok (ctx, resume_from) ->
+      (match resume_from with
+      | Some c ->
+          if c.Rwc_recover.ck_seed <> seed || c.Rwc_recover.ck_days <> days
+          then begin
+            Printf.eprintf
+              "rwc %s: --resume: checkpoint in %s belongs to a run with seed \
+               %d over %g days, not seed %d over %g days\n"
+              cmd dir c.Rwc_recover.ck_seed c.Rwc_recover.ck_days seed days;
+            exit 2
+          end
+      | None ->
+          if resume then
+            Printf.eprintf
+              "rwc %s: --resume: no valid checkpoint in %s; starting from \
+               scratch\n%!"
+              cmd dir);
+      let jnl =
+        match (resume_from, journal_path) with
+        | Some _, None -> Rwc_journal.create ~slo ()
+        | Some c, Some p -> (
+            match
+              Rwc_journal.resume ~path:p ~slo ~at:c.Rwc_recover.ck_journal_bytes
+                ~events:c.Rwc_recover.ck_journal_events ()
+            with
+            | Ok j -> j
+            | Error e ->
+                Printf.eprintf "rwc %s: --resume: %s: %s\n" cmd p e;
+                exit 2)
+        | None, _ -> journal_sink journal_path slo
+      in
+      (ctx, resume_from, jnl)
+
 let run_simulate () days policy seed faults storm guard rollout journal_path
     slo backbone_file manifest_path checkpoint checkpoint_every resume progress
     domains metrics_interval =
@@ -524,18 +596,11 @@ let run_simulate () days policy seed faults storm guard rollout journal_path
      nothing to restart from; an online SLO tracker without a journal
      file cannot be rebuilt after a restart (the tracker's state lives
      in the retained journal prefix). *)
-  if resume && checkpoint = None then begin
-    prerr_endline "rwc simulate: --resume requires --checkpoint DIR";
-    exit 2
-  end;
+  check_checkpoint_flags "simulate" ~checkpoint ~checkpoint_every ~resume;
   if Rwc_recover.plan_has_crash faults && checkpoint = None then begin
     prerr_endline
       "rwc simulate: a crash= fault rule requires --checkpoint DIR (the \
        restart loop recovers from the newest checkpoint)";
-    exit 2
-  end;
-  if checkpoint <> None && checkpoint_every <= 0 then begin
-    prerr_endline "rwc simulate: --checkpoint-every must be >= 1";
     exit 2
   end;
   (match checkpoint with
@@ -597,19 +662,9 @@ let run_simulate () days policy seed faults storm guard rollout journal_path
         }
   in
   let backbone = backbone_of backbone_file in
-  let config_of jnl =
-    {
-      Rwc_sim.Runner.default_config with
-      Rwc_sim.Runner.days;
-      seed;
-      faults;
-      guard;
-      rollout;
-      journal = jnl;
-      progress;
-      domains;
-      hooks = sim_hooks;
-    }
+  let config_of journal =
+    sim_config ~days ~seed ~faults ~guard ~rollout ~journal ~progress
+      ~hooks:sim_hooks ~domains ()
   in
   (* Both the plain and the checkpointed path reduce their results to
      (policy name, rendered line, report JSON) rows, so printing and
@@ -662,98 +717,59 @@ let run_simulate () days policy seed faults storm guard rollout journal_path
       in
       Rwc_journal.close jnl;
       finish ~jnl ~extra_config:[] (List.map row_of_report reports)
-  | Some dir -> (
-      match
-        Rwc_recover.create ~dir ~every:checkpoint_every ?journal_path ~slo
-          ~faults ~resume ()
-      with
-      | Error e ->
-          Printf.eprintf "rwc simulate: --checkpoint %s: %s\n" dir e;
-          exit 2
-      | Ok (ctx, resume_from) ->
-          (match resume_from with
-          | Some c ->
-              if c.Rwc_recover.ck_seed <> seed || c.Rwc_recover.ck_days <> days
-              then begin
-                Printf.eprintf
-                  "rwc simulate: --resume: checkpoint in %s belongs to a run \
-                   with seed %d over %g days, not seed %d over %g days\n"
-                  dir c.Rwc_recover.ck_seed c.Rwc_recover.ck_days seed days;
-                exit 2
-              end
-          | None ->
-              if resume then
-                Printf.eprintf
-                  "rwc simulate: --resume: no valid checkpoint in %s; \
-                   starting from scratch\n%!"
-                  dir);
-          (* Resuming reopens the journal truncated to the checkpoint's
-             high-water mark instead of truncating it to zero. *)
-          let jnl =
-            match resume_from with
-            | Some c -> (
-                match journal_path with
-                | None -> Rwc_journal.create ~slo ()
-                | Some p -> (
-                    match
-                      Rwc_journal.resume ~path:p ~slo
-                        ~at:c.Rwc_recover.ck_journal_bytes
-                        ~events:c.Rwc_recover.ck_journal_events ()
-                    with
-                    | Ok j -> j
-                    | Error e ->
-                        Printf.eprintf "rwc simulate: --resume: %s: %s\n" p e;
-                        exit 2))
-            | None -> journal_sink journal_path slo
-          in
-          (* Ctrl-C / SIGTERM cut a final checkpoint at the next sample
-             boundary instead of tearing the state down mid-sweep. *)
-          let handler =
-            Sys.Signal_handle (fun _ -> Rwc_recover.request_stop ctx)
-          in
-          Sys.set_signal Sys.sigint handler;
-          Sys.set_signal Sys.sigterm handler;
-          let policies =
-            match policy with
-            | Some p -> [ p ]
-            | None -> Rwc_sim.Runner.all_policies
-          in
-          let outcomes =
-            try
-              Rwc_sim.Runner.run_recoverable ~config:(config_of jnl) ~backbone
-                ~ctx ~resume_from ~policies ()
-            with Rwc_recover.Interrupted ->
-              Printf.eprintf
-                "rwc simulate: interrupted; checkpoint written to %s — rerun \
-                 the same command with --resume to continue\n"
-                dir;
-              exit 130
-          in
-          if ctx.Rwc_recover.restarts > 0 then
-            Printf.eprintf
-              "rwc simulate: recovered from %d crash restart%s\n"
-              ctx.Rwc_recover.restarts
-              (if ctx.Rwc_recover.restarts = 1 then "" else "s");
-          let rows =
-            List.map
-              (function
-                | Rwc_sim.Runner.Replayed { policy; pp; json } ->
-                    ( Rwc_sim.Runner.policy_name policy,
-                      pp,
-                      match Obs.Json.parse json with
-                      | Ok j -> j
-                      | Error _ -> Obs.Json.Null )
-                | Rwc_sim.Runner.Ran r -> row_of_report r)
-              outcomes
-          in
-          finish ~jnl
-            ~extra_config:
-              [
-                ("checkpoint", Obs.Json.String dir);
-                ("checkpoint_every", Obs.Json.Int checkpoint_every);
-                ("resume", Obs.Json.Bool resume);
-              ]
-            rows)
+  | Some dir ->
+      let ctx, resume_from, jnl =
+        open_checkpoint "simulate" ~dir ~every:checkpoint_every
+          ?journal_path ~slo ~faults ~resume ~seed ~days ()
+      in
+      (* Ctrl-C / SIGTERM cut a final checkpoint at the next sample
+         boundary instead of tearing the state down mid-sweep. *)
+      let handler =
+        Sys.Signal_handle (fun _ -> Rwc_recover.request_stop ctx)
+      in
+      Sys.set_signal Sys.sigint handler;
+      Sys.set_signal Sys.sigterm handler;
+      let policies =
+        match policy with
+        | Some p -> [ p ]
+        | None -> Rwc_sim.Runner.all_policies
+      in
+      let outcomes =
+        try
+          Rwc_sim.Runner.run_recoverable ~config:(config_of jnl) ~backbone
+            ~ctx ~resume_from ~policies ()
+        with Rwc_recover.Interrupted ->
+          Printf.eprintf
+            "rwc simulate: interrupted; checkpoint written to %s — rerun \
+             the same command with --resume to continue\n"
+            dir;
+          exit 130
+      in
+      if ctx.Rwc_recover.restarts > 0 then
+        Printf.eprintf
+          "rwc simulate: recovered from %d crash restart%s\n"
+          ctx.Rwc_recover.restarts
+          (if ctx.Rwc_recover.restarts = 1 then "" else "s");
+      let rows =
+        List.map
+          (function
+            | Rwc_sim.Runner.Replayed { policy; pp; json } ->
+                ( Rwc_sim.Runner.policy_name policy,
+                  pp,
+                  match Obs.Json.parse json with
+                  | Ok j -> j
+                  | Error _ -> Obs.Json.Null )
+            | Rwc_sim.Runner.Ran r -> row_of_report r)
+          outcomes
+      in
+      finish ~jnl
+        ~extra_config:
+          [
+            ("checkpoint", Obs.Json.String dir);
+            ("checkpoint_every", Obs.Json.Int checkpoint_every);
+            ("resume", Obs.Json.Bool resume);
+          ]
+        rows
 
 let days_arg =
   Arg.(value & opt float 21.0 & info [ "days" ] ~docv:"D" ~doc:"Horizon in days.")
@@ -903,17 +919,10 @@ let run_chaos () days seed factors policy guard rollout journal_path slo
       else Rwc_fault.scaled Rwc_fault.default ~factor
     in
     let config =
-      {
-        Rwc_sim.Runner.default_config with
-        Rwc_sim.Runner.days;
-        seed;
-        faults;
-        guard = (if guarded then guard else Rwc_guard.none);
-        rollout = (if gated then rollout else Rwc_rollout.none);
-        journal = jnl;
-        progress;
-        domains;
-      }
+      sim_config ~days ~seed ~faults
+        ~guard:(if guarded then guard else Rwc_guard.none)
+        ~rollout:(if gated then rollout else Rwc_rollout.none)
+        ~journal:jnl ~progress ~domains ()
     in
     match policy with
     | Some p -> [ Rwc_sim.Runner.run ~config ~backbone p ]
@@ -994,13 +1003,9 @@ let run_chaos () days seed factors policy guard rollout journal_path slo
             (* 1.0 was excluded from --factor: run the crash-free
                reference once, journal disarmed. *)
             let config =
-              {
-                Rwc_sim.Runner.default_config with
-                Rwc_sim.Runner.days;
-                seed;
-                faults = Rwc_fault.scaled Rwc_fault.default ~factor:1.0;
-                domains;
-              }
+              sim_config ~days ~seed
+                ~faults:(Rwc_fault.scaled Rwc_fault.default ~factor:1.0)
+                ~domains ()
             in
             (match policy with
             | Some p -> [ Rwc_sim.Runner.run ~config ~backbone p ]
@@ -1030,15 +1035,7 @@ let run_chaos () days seed factors policy guard rollout journal_path slo
               Printf.eprintf "rwc chaos: --crash: %s: %s\n" dir e;
               exit 2
           | Ok (ctx, _) ->
-              let config =
-                {
-                  Rwc_sim.Runner.default_config with
-                  Rwc_sim.Runner.days;
-                  seed;
-                  faults;
-                  domains;
-                }
-              in
+              let config = sim_config ~days ~seed ~faults ~domains () in
               let policies =
                 match policy with
                 | Some p -> [ p ]
@@ -2367,14 +2364,7 @@ let run_serve () days policy seed faults guard rollout journal_path slo
        stopping the daemon and rerunning with --resume is its crash story";
     exit 2
   end;
-  if resume && checkpoint = None then begin
-    prerr_endline "rwc serve: --resume requires --checkpoint DIR";
-    exit 2
-  end;
-  if checkpoint <> None && checkpoint_every <= 0 then begin
-    prerr_endline "rwc serve: --checkpoint-every must be >= 1";
-    exit 2
-  end;
+  check_checkpoint_flags "serve" ~checkpoint ~checkpoint_every ~resume;
   (* The metrics topic streams registry deltas; make sure the registry
      counts even when the operator did not pass --metrics. *)
   Obs.Metrics.enable ();
@@ -2382,18 +2372,8 @@ let run_serve () days policy seed faults guard rollout journal_path slo
   let policies =
     match policy with Some p -> [ p ] | None -> Rwc_sim.Runner.all_policies
   in
-  let config_of jnl =
-    {
-      Rwc_sim.Runner.default_config with
-      Rwc_sim.Runner.days;
-      seed;
-      faults;
-      guard;
-      rollout;
-      journal = jnl;
-      progress;
-      domains;
-    }
+  let config_of journal =
+    sim_config ~days ~seed ~faults ~guard ~rollout ~journal ~progress ~domains ()
   in
   match checkpoint with
   | None ->
@@ -2402,50 +2382,15 @@ let run_serve () days policy seed faults guard rollout journal_path slo
         (Rwc_serve.Daemon.serve ~mode ~metrics_interval ~max_queue
            ~config:(config_of jnl) ~backbone ~policies ~journal_path ~slo
            ~run_mode:Rwc_serve.Daemon.Fresh ())
-  | Some dir -> (
-      match
-        Rwc_recover.create ~dir ~every:checkpoint_every ~journal_path ~slo
-          ~faults ~resume ()
-      with
-      | Error e ->
-          Printf.eprintf "rwc serve: --checkpoint %s: %s\n" dir e;
-          exit 2
-      | Ok (ctx, resume_from) ->
-          (match resume_from with
-          | Some c ->
-              if c.Rwc_recover.ck_seed <> seed || c.Rwc_recover.ck_days <> days
-              then begin
-                Printf.eprintf
-                  "rwc serve: --resume: checkpoint in %s belongs to a run \
-                   with seed %d over %g days, not seed %d over %g days\n"
-                  dir c.Rwc_recover.ck_seed c.Rwc_recover.ck_days seed days;
-                exit 2
-              end
-          | None ->
-              if resume then
-                Printf.eprintf
-                  "rwc serve: --resume: no valid checkpoint in %s; starting \
-                   from scratch\n%!"
-                  dir);
-          let jnl =
-            match resume_from with
-            | Some c -> (
-                match
-                  Rwc_journal.resume ~path:journal_path ~slo
-                    ~at:c.Rwc_recover.ck_journal_bytes
-                    ~events:c.Rwc_recover.ck_journal_events ()
-                with
-                | Ok j -> j
-                | Error e ->
-                    Printf.eprintf "rwc serve: --resume: %s: %s\n" journal_path
-                      e;
-                    exit 2)
-            | None -> journal_sink (Some journal_path) slo
-          in
-          exit
-            (Rwc_serve.Daemon.serve ~mode ~metrics_interval ~max_queue
-               ~config:(config_of jnl) ~backbone ~policies ~journal_path ~slo
-               ~run_mode:(Rwc_serve.Daemon.Checkpointed (ctx, resume_from)) ()))
+  | Some dir ->
+      let ctx, resume_from, jnl =
+        open_checkpoint "serve" ~dir ~every:checkpoint_every ~journal_path ~slo
+          ~faults ~resume ~seed ~days ()
+      in
+      exit
+        (Rwc_serve.Daemon.serve ~mode ~metrics_interval ~max_queue
+           ~config:(config_of jnl) ~backbone ~policies ~journal_path ~slo
+           ~run_mode:(Rwc_serve.Daemon.Checkpointed (ctx, resume_from)) ())
 
 let socket_arg =
   Arg.(

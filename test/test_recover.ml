@@ -8,19 +8,19 @@
 module R = Rwc_recover
 module Runner = Rwc_sim.Runner
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    try Sys.rmdir path with Sys_error _ -> ()
+  end
+  else try Sys.remove path with Sys_error _ -> ()
+
 let with_temp_dir f =
   let dir = Filename.temp_file "rwc_test_recover" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
   Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun n ->
-            try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-          (Sys.readdir dir);
-        try Sys.rmdir dir with Sys_error _ -> ()
-      end)
+    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
     (fun () -> f dir)
 
 (* --- codec ------------------------------------------------------------- *)
@@ -484,6 +484,240 @@ let prop_crash_anywhere_resumes_identically =
           | [ Runner.Ran r ] -> r = reference
           | _ -> false))
 
+(* --- restore fidelity ----------------------------------------------------- *)
+
+let plan_of parse s = match parse s with Ok p -> p | Error e -> failwith e
+
+(* Adaptive Stock with faults, the default guard and a staged rollout
+   whose first gate is forced to fail, so a cut carries guard,
+   rollout, fault-injector and detector state alongside the counters. *)
+let armed_config ~days ~seed ~faults ~journal ~on_sweep =
+  {
+    Runner.default_config with
+    Runner.days;
+    seed;
+    faults;
+    guard = Rwc_guard.default;
+    rollout = plan_of Rwc_rollout.of_string "wave=2,bake=1800,fail-gate=1";
+    top_demands = 10;
+    epsilon = 0.3;
+    journal;
+    hooks = { Runner.no_hooks with Runner.on_sweep = Some on_sweep };
+  }
+
+let stock = Runner.Adaptive Runner.Stock
+let next_sample c = (Option.get c.R.ck_run).R.r_next_sample
+
+(* Run (or resume from [resume_from]) under a fresh recovery context in
+   [ck_dir], request a stop at the first sweep [stop] accepts, and
+   return the checkpoint cut there.  The journal at [journal_path] is
+   reopened at the resumed checkpoint's marks, as the CLI does. *)
+let run_until_stop ~ck_dir ~journal_path ~days ~seed ~faults ~resume_from
+    ~stop =
+  let ctx, _ = make_ctx ~faults ~journal_path ck_dir in
+  let journal =
+    match resume_from with
+    | None -> Rwc_journal.create ~path:journal_path ()
+    | Some c -> (
+        match
+          Rwc_journal.resume ~path:journal_path ~at:c.R.ck_journal_bytes
+            ~events:c.R.ck_journal_events ()
+        with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "journal resume: %s" e)
+  in
+  let on_sweep ~k ~now_s:_ ~events:_ = if stop k then R.request_stop ctx in
+  let config = armed_config ~days ~seed ~faults ~journal ~on_sweep in
+  (match
+     Runner.run_recoverable ~config ~ctx ~resume_from ~policies:[ stock ] ()
+   with
+  | _ -> Alcotest.fail "stop request did not interrupt"
+  | exception R.Interrupted -> ());
+  match R.load_latest ck_dir with
+  | Ok (Some c) -> c
+  | Ok None -> Alcotest.fail "no checkpoint after the stop"
+  | Error e -> Alcotest.failf "load_latest: %s" e
+
+(* Restoring a checkpoint and cutting again before the first sweep
+   mutates anything must give back the same run state: every field the
+   restore path writes is one the capture path reads, pending events
+   re-arm in their recorded order, and nothing is lost or invented. *)
+let test_restore_then_capture_identity () =
+  let faults = Rwc_fault.default in
+  with_temp_dir (fun dir ->
+      let journal_path = Filename.concat dir "journal.jsonl" in
+      List.iter
+        (fun k ->
+          let cut resume_from stop =
+            run_until_stop
+              ~ck_dir:(Filename.concat dir (Printf.sprintf "ck-%d" k))
+              ~journal_path ~days:2.0 ~seed:7 ~faults ~resume_from ~stop
+          in
+          let a = cut None (fun j -> j = k) in
+          Alcotest.(check int) "cut at the requested sweep" k (next_sample a);
+          let b = cut (Some a) (fun _ -> true) in
+          Alcotest.(check int) "re-cut at the restored sweep" k (next_sample b);
+          Alcotest.(check bool)
+            (Printf.sprintf "capture (restore A) = A at sweep %d" k)
+            true
+            (a.R.ck_run = b.R.ck_run))
+        [ 24; 77; 130; 181 ])
+
+(* A fault-delayed TE recomputation in flight at the cut is the one
+   pending kind a stock run regularly leaves behind.  Find cuts that
+   hold one, resume from each, and demand the uninterrupted bytes. *)
+let test_resume_from_te_recheck_cuts () =
+  let faults = plan_of Rwc_fault.of_string "default,te-delay=0.5:1800" in
+  let days = 3.0 and seed = 7 in
+  let slurp p = In_channel.with_open_bin p In_channel.input_all in
+  let pp r = Format.asprintf "%a" Runner.pp_report r in
+  let ran = function
+    | [ Runner.Ran r ] -> r
+    | _ -> Alcotest.fail "expected one Ran outcome"
+  in
+  with_temp_dir (fun dir ->
+      let ref_journal = Filename.concat dir "ref.jsonl" in
+      let reference =
+        let journal = Rwc_journal.create ~path:ref_journal () in
+        let on_sweep ~k:_ ~now_s:_ ~events:_ = () in
+        let r =
+          Runner.run
+            ~config:(armed_config ~days ~seed ~faults ~journal ~on_sweep)
+            stock
+        in
+        Rwc_journal.close journal;
+        r
+      in
+      (* Checkpoint every sweep; the hook sees the previous sweep's
+         cut, and keeps the ones holding a recheck. *)
+      let ck_dir = Filename.concat dir "every" in
+      let scan_journal = Filename.concat dir "scan.jsonl" in
+      let ctx =
+        match
+          R.create ~dir:ck_dir ~every:1 ~journal_path:scan_journal ~faults
+            ~resume:false ()
+        with
+        | Ok (ctx, _) -> ctx
+        | Error e -> Alcotest.failf "create: %s" e
+      in
+      let cuts = ref [] in
+      let on_sweep ~k:_ ~now_s:_ ~events:_ =
+        match R.load_latest ck_dir with
+        | Ok (Some ({ R.ck_run = Some rs; _ } as c))
+          when List.exists
+                 (fun p -> p.R.p_kind = R.Te_recheck)
+                 rs.R.r_pending
+               && not
+                    (List.exists (fun c' -> c'.R.ck_seq = c.R.ck_seq) !cuts) ->
+            cuts := c :: !cuts
+        | _ -> ()
+      in
+      let journal = Rwc_journal.create ~path:scan_journal () in
+      let scanned =
+        ran
+          (Runner.run_recoverable
+             ~config:(armed_config ~days ~seed ~faults ~journal ~on_sweep)
+             ~ctx ~resume_from:None ~policies:[ stock ] ())
+      in
+      Alcotest.(check string) "checkpointed run report" (pp reference)
+        (pp scanned);
+      Alcotest.(check string) "checkpointed run journal" (slurp ref_journal)
+        (slurp scan_journal);
+      let cuts = Array.of_list (List.rev !cuts) in
+      let n = Array.length cuts in
+      Alcotest.(check bool)
+        (Printf.sprintf "at least 3 cuts hold a recheck (found %d)" n)
+        true (n >= 3);
+      List.iter
+        (fun c ->
+          let k = next_sample c in
+          let journal_path =
+            Filename.concat dir (Printf.sprintf "resume-%d.jsonl" k)
+          in
+          Out_channel.with_open_bin journal_path (fun oc ->
+              Out_channel.output_string oc (slurp ref_journal));
+          let journal =
+            match
+              Rwc_journal.resume ~path:journal_path ~at:c.R.ck_journal_bytes
+                ~events:c.R.ck_journal_events ()
+            with
+            | Ok j -> j
+            | Error e -> Alcotest.failf "journal resume: %s" e
+          in
+          let ctx, _ =
+            make_ctx ~faults ~journal_path
+              (Filename.concat dir (Printf.sprintf "ck-%d" k))
+          in
+          let on_sweep ~k:_ ~now_s:_ ~events:_ = () in
+          let r =
+            ran
+              (Runner.run_recoverable
+                 ~config:(armed_config ~days ~seed ~faults ~journal ~on_sweep)
+                 ~ctx ~resume_from:(Some c) ~policies:[ stock ] ())
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "report resumed at sweep %d" k)
+            (pp reference) (pp r);
+          Alcotest.(check bool)
+            (Printf.sprintf "report structurally identical at sweep %d" k)
+            true (r = reference);
+          Alcotest.(check string)
+            (Printf.sprintf "journal resumed at sweep %d" k)
+            (slurp ref_journal) (slurp journal_path))
+        [ cuts.(0); cuts.(n / 2); cuts.(n - 1) ])
+
+(* Restore must reject a checkpoint whose shapes do not fit the fleet
+   it is restored into, in the same words as the fleet-size check,
+   rather than restoring part of it or failing on an array index. *)
+let test_restore_rejects_bad_shapes () =
+  let faults = Rwc_fault.default in
+  with_temp_dir (fun dir ->
+      let journal_path = Filename.concat dir "journal.jsonl" in
+      let a =
+        run_until_stop ~ck_dir:(Filename.concat dir "ck") ~journal_path
+          ~days:1.0 ~seed:7 ~faults ~resume_from:None ~stop:(fun k -> k = 40)
+      in
+      let rs = Option.get a.R.ck_run in
+      let n = List.length rs.R.r_ducts in
+      let attempt link =
+        {
+          R.p_kind = R.Finish_attempt;
+          p_link = link;
+          p_new_gbps = 150;
+          p_prev_gbps = 100;
+          p_attempt = 1;
+          p_at = (float_of_int rs.R.r_next_sample *. 900.0) +. 60.0;
+        }
+      in
+      List.iter
+        (fun (what, bad) ->
+          let ctx, _ = make_ctx ~faults (Filename.concat dir what) in
+          let on_sweep ~k:_ ~now_s:_ ~events:_ = () in
+          let config =
+            armed_config ~days:1.0 ~seed:7 ~faults
+              ~journal:Rwc_journal.disarmed ~on_sweep
+          in
+          match
+            Runner.run_recoverable ~config ~ctx
+              ~resume_from:(Some { a with R.ck_run = Some bad })
+              ~policies:[ stock ] ()
+          with
+          | _ -> Alcotest.failf "%s: checkpoint restored" what
+          | exception Invalid_argument msg ->
+              let prefix = "Runner: checkpoint" in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: rejected (%s)" what msg)
+                true
+                (String.length msg >= String.length prefix
+                && String.sub msg 0 (String.length prefix) = prefix))
+        [
+          ( "short-duct-flow",
+            { rs with R.r_duct_flow = List.filteri (fun i _ -> i < 10) rs.R.r_duct_flow } );
+          ("long-duct-flow", { rs with R.r_duct_flow = rs.R.r_duct_flow @ [ 0.0 ] });
+          ("link-past-end", { rs with R.r_pending = rs.R.r_pending @ [ attempt n ] });
+          ("negative-link", { rs with R.r_pending = rs.R.r_pending @ [ attempt (-1) ] });
+        ])
+
 let suite =
   [
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
@@ -508,4 +742,10 @@ let suite =
     Alcotest.test_case "completed policy replays" `Slow
       test_completed_policy_replays;
     QCheck_alcotest.to_alcotest prop_crash_anywhere_resumes_identically;
+    Alcotest.test_case "restore then capture is the identity" `Slow
+      test_restore_then_capture_identity;
+    Alcotest.test_case "resume from cuts holding a te-recheck" `Slow
+      test_resume_from_te_recheck_cuts;
+    Alcotest.test_case "restore rejects bad checkpoint shapes" `Quick
+      test_restore_rejects_bad_shapes;
   ]
