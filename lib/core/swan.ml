@@ -35,7 +35,12 @@ let allocate ?epsilon ?(interactive_k = 2) g demands =
     let residual = residual_graph g used in
     let result =
       if Array.length commodities = 0 then
-        { Te.flow = Array.make m 0.0; routed = [||]; total_gbps = 0.0 }
+        {
+          Te.flow = Array.make m 0.0;
+          routed = [||];
+          total_gbps = 0.0;
+          lambda_upper = infinity;
+        }
       else
         match klass with
         | Interactive -> Te.greedy_ksp ~k:interactive_k residual commodities

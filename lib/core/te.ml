@@ -5,6 +5,7 @@ type result = {
   flow : float array;
   routed : float array;
   total_gbps : float;
+  lambda_upper : float;
 }
 
 let m_mcf_solve = Rwc_obs.Metrics.histogram "te/mcf_solve"
@@ -13,11 +14,12 @@ let mcf ?epsilon g commodities =
   Rwc_perf.record Rwc_perf.Te_solve (fun () ->
   Rwc_obs.Trace.with_span "te/mcf" (fun () ->
       Rwc_obs.Metrics.time m_mcf_solve (fun () ->
-          let r = Mc.solve ?epsilon g commodities in
+          let { Mc.result = r; lambda_upper } = Mc.solve_certified ?epsilon g commodities in
           {
             flow = r.Mc.flow;
             routed = r.Mc.routed;
             total_gbps = Array.fold_left ( +. ) 0.0 r.Mc.routed;
+            lambda_upper;
           })))
 
 let greedy_ksp ?(k = 4) g commodities =
@@ -59,7 +61,12 @@ let greedy_ksp ?(k = 4) g commodities =
           end)
         paths)
     order;
-  { flow; routed; total_gbps = Array.fold_left ( +. ) 0.0 routed }
+  {
+    flow;
+    routed;
+    total_gbps = Array.fold_left ( +. ) 0.0 routed;
+    lambda_upper = infinity;
+  }
 
 let single_mincost g ~src ~dst ~demand =
   let r = Rwc_flow.Mincost.solve ~limit:demand g ~src ~dst in
@@ -67,6 +74,7 @@ let single_mincost g ~src ~dst ~demand =
     flow = r.Rwc_flow.Mincost.flow;
     routed = [| r.Rwc_flow.Mincost.value |];
     total_gbps = r.Rwc_flow.Mincost.value;
+    lambda_upper = infinity;
   }
 
 let utilization g result =

@@ -18,6 +18,11 @@ type result = {
           [Graph.n_edges g] entries. *)
   routed : float array;  (** Per commodity. *)
   total_gbps : float;
+  lambda_upper : float;
+      (** {!mcf}'s certificate: an upper bound on the optimal
+          concurrent fraction of demand, as
+          {!Rwc_flow.Multicommodity.result} documents it.  [infinity]
+          from the allocators that give no bound. *)
 }
 
 val mcf :

@@ -6,6 +6,8 @@ type result = {
   routed : float array;
 }
 
+type certified = { result : result; lambda_upper : float }
+
 let total_throughput r = Array.fold_left ( +. ) 0.0 r.routed
 
 let m_phases = Rwc_obs.Metrics.counter "mcf/phases"
@@ -36,6 +38,62 @@ let dual_below_one length cap dual =
    answers as the exact sum would. *)
 let margin = 1e-6
 
+(* The commodities grouped by source, sources in order of first
+   appearance and each group's commodities in input order. *)
+let group_by_source commodities =
+  let order = ref [] in
+  let members = Hashtbl.create 16 in
+  Array.iteri
+    (fun j c ->
+      match Hashtbl.find_opt members c.src with
+      | Some js -> Hashtbl.replace members c.src (j :: js)
+      | None ->
+          order := c.src :: !order;
+          Hashtbl.add members c.src [ j ])
+    commodities;
+  List.rev_map
+    (fun s -> (s, Array.of_list (List.rev (Hashtbl.find members s))))
+    !order
+  |> Array.of_list
+
+(* Garg-Könemann's dual bound.  For any non-negative lengths l,
+   lambda* <= D(l) / alpha(l), where D(l) = sum_e l(e) c(e) and
+   alpha(l) = sum_j demand_j * dist_l(src_j, dst_j); alpha takes one
+   shortest-path tree per source.  The trees are grown on l times the
+   power of two that lifts the least usable length into [1, 2).
+   Scaling by a power of two commutes with rounding, so the scaled
+   distances are the exact ones scaled, and the workspace's absolute
+   1e-12 slack becomes a relative error of at most 1e-12 instead of
+   deciding between lengths far below it. *)
+let dual_bound ws ~length ~cap commodities groups =
+  let m = Array.length length in
+  let least = ref infinity in
+  for e = 0 to m - 1 do
+    if cap.(e) > 0.0 && length.(e) < !least then least := length.(e)
+  done;
+  let scale =
+    if Float.is_finite !least then Float.ldexp 1.0 (min 1000 (1 - snd (Float.frexp !least)))
+    else 1.0
+  in
+  let scaled = Array.map (fun l -> l *. scale) length in
+  let d = ref 0.0 in
+  for e = 0 to m - 1 do
+    if cap.(e) > 0.0 then d := !d +. (scaled.(e) *. cap.(e))
+  done;
+  let dsts = Array.make (Array.length commodities) 0 in
+  let alpha = ref 0.0 in
+  Array.iter
+    (fun (src, js) ->
+      Array.iteri (fun i j -> dsts.(i) <- commodities.(j).dst) js;
+      Shortest.Workspace.tree ws ~length:scaled ~src ~dsts ~n_dsts:(Array.length js);
+      Array.iter
+        (fun j ->
+          let c = commodities.(j) in
+          alpha := !alpha +. (c.demand *. Shortest.Workspace.distance ws c.dst))
+        js)
+    groups;
+  if !alpha > 0.0 then !d /. !alpha else infinity
+
 (* Fleischer's phase variant of Garg-Könemann.  Edge lengths start at
    delta / capacity and are multiplied by (1 + eps * f / c) whenever f
    units are pushed; phases route each commodity's full demand along
@@ -49,14 +107,18 @@ let margin = 1e-6
    summed exactly at each phase head; within a phase the running
    estimate answers the per-path test, and the O(m) sum runs only when
    the estimate comes within [margin] of 1. *)
-let solve ?(epsilon = 0.1) g commodities =
+let solve_certified ?(epsilon = 0.1) g commodities =
   assert (epsilon > 0.0 && epsilon <= 0.5);
   Array.iter
     (fun c -> assert (c.demand > 0.0 && c.src <> c.dst))
     commodities;
   let m = Graph.n_edges g in
   let n_com = Array.length commodities in
-  if n_com = 0 then { lambda = infinity; flow = Array.make m 0.0; routed = [||] }
+  if n_com = 0 then
+    {
+      result = { lambda = infinity; flow = Array.make m 0.0; routed = [||] };
+      lambda_upper = infinity;
+    }
   else begin
     let delta =
       (float_of_int (max m 2) /. (1.0 -. epsilon)) ** (-1.0 /. epsilon)
@@ -125,6 +187,9 @@ let solve ?(epsilon = 0.1) g commodities =
     done;
     if (not !stalled) && dual_below_one length usable_cap dual then
       Rwc_obs.Metrics.incr m_phase_cap_hits;
+    let lambda_upper =
+      dual_bound ws ~length ~cap:usable_cap commodities (group_by_source commodities)
+    in
     (* Scale to feasibility: first a global factor bringing the worst
        edge back within capacity, then a per-commodity cap so nobody
        ships more than its demand (phases over-route when the network
@@ -161,5 +226,7 @@ let solve ?(epsilon = 0.1) g commodities =
       Array.to_list (Array.mapi (fun j r -> r /. commodities.(j).demand) routed)
       |> List.fold_left Float.min infinity
     in
-    { lambda; flow; routed }
+    { result = { lambda; flow; routed }; lambda_upper }
   end
+
+let solve ?epsilon g commodities = (solve_certified ?epsilon g commodities).result

@@ -27,6 +27,23 @@ type result = {
           demand. *)
 }
 
+type certified = {
+  result : result;
+  lambda_upper : float;
+      (** An upper bound on the optimal concurrent
+          fraction lambda*, so [result.lambda <= lambda_upper] and the ratio
+          bounds how far from optimal [result.lambda] is.  It is
+          Garg-Könemann's dual bound D(l)/alpha(l) at the solve's final
+          edge lengths l: D(l) sums length times capacity over the
+          usable edges, alpha(l) sums demand times shortest-path
+          distance over the commodities, with one shortest-path tree
+          per source.  Unlike [lambda] it is not capped at 1.  0.0
+          when a commodity is unreachable; [infinity] with no
+          commodities. *)
+}
+(** A solve's result with its certificate.  [result] keeps its three
+    fields so that code building a [result] by hand still compiles. *)
+
 val solve :
   ?epsilon:float -> 'tag Graph.t -> commodity array -> result
 (** [solve ?epsilon g commodities] with [epsilon] in (0, 0.5], default
@@ -44,6 +61,11 @@ val solve :
     count.  A phase that finds no augmenting path (every commodity
     unreachable) ends the solve, since every later phase would repeat
     it. *)
+
+val solve_certified :
+  ?epsilon:float -> 'tag Graph.t -> commodity array -> certified
+(** {!solve} with its certificate; [solve] is this solve with the
+    certificate dropped. *)
 
 val total_throughput : result -> float
 (** Sum of shipped amounts over commodities. *)

@@ -40,7 +40,10 @@ module Workspace = struct
     dist : float array;
     prev : Graph.edge_id array;  (* edge into each vertex on its best path *)
     finalized : int array;  (* = [stamp] once finalized in this search *)
+    target : int array;  (* = [stamp] for the targets of this search *)
+    one : int array;  (* the lone target of {!dijkstra} *)
     mutable stamp : int;
+    mutable root : int;  (* source of the last search *)
     mutable prio : float array;  (* heap *)
     mutable vertex : int array;
     mutable size : int;
@@ -84,7 +87,10 @@ module Workspace = struct
         dist = Array.make slots infinity;
         prev = Array.make slots (-1);
         finalized = Array.make slots 0;
+        target = Array.make slots 0;
+        one = [| 0 |];
         stamp = 0;
+        root = 0;
         prio = Array.make (slots + 1) 0.0;
         vertex = Array.make (slots + 1) 0;
         size = 0;
@@ -141,24 +147,35 @@ module Workspace = struct
     prio.(!i) <- p;
     vertex.(!i) <- v
 
-  let dijkstra ws ~length ~src ~dst =
+  let tree ws ~length ~src ~dsts ~n_dsts =
     let dist = ws.dist and prev = ws.prev and finalized = ws.finalized in
-    let tails = ws.csr.Graph.srcs in
+    let target = ws.target in
     let offsets = ws.offsets and edge_ids = ws.edge_ids and heads = ws.heads in
-    assert (ws.m <= Array.length length);
+    assert (ws.m <= Array.length length && n_dsts <= Array.length dsts);
     Array.fill dist 0 ws.n infinity;
     ws.stamp <- ws.stamp + 1;
     let stamp = ws.stamp in
     ws.size <- 0;
     ws.path_len <- 0;
+    ws.root <- src;
+    (* Targets still to finalize; a repeated target counts once. *)
+    let pending = ref 0 in
+    for i = 0 to n_dsts - 1 do
+      let v = dsts.(i) in
+      if target.(v) <> stamp then begin
+        target.(v) <- stamp;
+        incr pending
+      end
+    done;
     dist.(src) <- 0.0;
     push ws 0.0 src;
-    while ws.size > 0 && finalized.(dst) <> stamp do
+    while ws.size > 0 && !pending > 0 do
       let d = ws.prio.(0) and v = ws.vertex.(0) in
       pop ws;
       if finalized.(v) <> stamp && d <= dist.(v) +. 1e-12 then begin
         finalized.(v) <- stamp;
-        if v <> dst then begin
+        if target.(v) = stamp then decr pending;
+        if !pending > 0 then begin
           (* Relaxing [v]'s out-edges cannot lower [dist.(v)]. *)
           let dv = dist.(v) in
           for i = offsets.(v) to offsets.(v + 1) - 1 do
@@ -175,23 +192,40 @@ module Workspace = struct
           done
         end
       end
+    done
+
+  (* A target is finalized exactly when it is reachable: the search
+     stops early only once every target is finalized, and otherwise
+     runs until every reachable vertex is. *)
+  let reached ws v = ws.finalized.(v) = ws.stamp
+
+  let distance ws v = if reached ws v then ws.dist.(v) else infinity
+
+  let walk ws ~dst =
+    assert (reached ws dst);
+    (* Walk back once to count the hops, again to fill the buffer.
+       Only vertices reached in this search are on the walk, so
+       [prev] needs no reset between searches. *)
+    let tails = ws.csr.Graph.srcs and prev = ws.prev in
+    let v = ref dst and hops = ref 0 in
+    while !v <> ws.root do
+      incr hops;
+      v := tails.(prev.(!v))
     done;
-    if not (dist.(dst) < infinity) then false
+    ws.path_len <- !hops;
+    v := dst;
+    for i = !hops - 1 downto 0 do
+      let eid = prev.(!v) in
+      ws.path.(i) <- eid;
+      v := tails.(eid)
+    done
+
+  let dijkstra ws ~length ~src ~dst =
+    ws.one.(0) <- dst;
+    tree ws ~length ~src ~dsts:ws.one ~n_dsts:1;
+    if not (reached ws dst) then false
     else begin
-      (* Walk back once to count the hops, again to fill the buffer.
-         Only vertices reached in this search are on the walk, so
-         [prev] needs no reset between searches. *)
-      let v = ref dst in
-      while !v <> src do
-        ws.path_len <- ws.path_len + 1;
-        v := tails.(prev.(!v))
-      done;
-      v := dst;
-      for i = ws.path_len - 1 downto 0 do
-        let eid = prev.(!v) in
-        ws.path.(i) <- eid;
-        v := tails.(eid)
-      done;
+      walk ws ~dst;
       true
     end
 

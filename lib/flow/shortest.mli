@@ -52,14 +52,36 @@ module Workspace : sig
       workspace was made for that pass [usable].  Allocates only the
       first time on a workspace made without [usable]. *)
 
+  val tree :
+    t -> length:float array -> src:int -> dsts:int array -> n_dsts:int -> unit
+  (** Grows a least-[length] tree ([length] is indexed by edge id,
+      entries non-negative) from [src] over the edges in the view, and
+      stops as soon as every vertex in [dsts.(0 .. n_dsts - 1)] is
+      finalized, or once every vertex reachable from [src] is.  A
+      single target gives exactly {!dijkstra}'s search.  The tree is
+      left in the workspace until the next search. *)
+
+  val reached : t -> int -> bool
+  (** Whether the last search finalized the vertex.  For one of its
+      targets that means reachable from its source. *)
+
+  val distance : t -> int -> float
+  (** The last search's distance to a vertex it finalized;
+      [infinity] for any other. *)
+
+  val walk : t -> dst:int -> unit
+  (** Loads the last tree's path from its source to [dst], which it
+      must have finalized, into the path buffer read by
+      {!path_length}, {!path_edge} and {!path}. *)
+
   val dijkstra : t -> length:float array -> src:int -> dst:int -> bool
-  (** Least-[length] path ([length] is indexed by edge id, entries
-      non-negative) over the edges in the view; [false] when [dst] is
-      unreachable.  On [true] the path is left in the workspace until
-      the next run. *)
+  (** Least-[length] path over the edges in the view: a {!tree} with
+      the one target [dst], then a {!walk} to it.  [false] when [dst]
+      is unreachable.  On [true] the path is left in the workspace
+      until the next run. *)
 
   val path_length : t -> int
-  (** Edges on the last path found. *)
+  (** Edges on the last path found or walked. *)
 
   val path_edge : t -> int -> Graph.edge_id
   (** [path_edge ws i] is the [i]-th edge from the source. *)

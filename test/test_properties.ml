@@ -119,6 +119,39 @@ let prop_mc_lambda_bounded_by_maxflow =
       let mf = Rwc_flow.Maxflow.solve g ~src ~dst in
       r.Rwc_flow.Multicommodity.routed.(0) <= mf.Rwc_flow.Maxflow.value +. 1e-6)
 
+(* --- the multicommodity certificate ------------------------------------- *)
+
+(* Garg-Könemann's dual bound must sit above the lambda the solve
+   reaches: the bound is at least lambda*. *)
+let arbitrary_mc_eps =
+  QCheck.pair arbitrary_mc (QCheck.oneofl ~print:string_of_float [ 0.05; 0.1; 0.2; 0.3; 0.5 ])
+
+let certified input epsilon =
+  let g, commodities = build_mc input in
+  (g, commodities, Rwc_flow.Multicommodity.solve_certified ~epsilon g commodities)
+
+let prop_mc_certificate_bounds_lambda =
+  QCheck.Test.make ~name:"multicommodity: lambda <= lambda_upper" ~count:200
+    arbitrary_mc_eps (fun (input, epsilon) ->
+      let _, _, c = certified input epsilon in
+      let module Mc = Rwc_flow.Multicommodity in
+      c.Mc.result.Mc.lambda <= c.Mc.lambda_upper *. (1.0 +. 1e-9))
+
+(* For one commodity the optimum is the max flow, which Maxflow
+   computes exactly: routed <= max flow <= lambda_upper * demand. *)
+let prop_mc_certificate_single_maxflow =
+  QCheck.Test.make
+    ~name:"multicommodity: routed <= maxflow <= lambda_upper * demand" ~count:200
+    (QCheck.pair arbitrary_graph (QCheck.int_range 1 40)) (fun (spec, demand) ->
+      let g = build spec in
+      let src = 0 and dst = Graph.n_vertices g - 1 in
+      let demand = float_of_int demand in
+      let module Mc = Rwc_flow.Multicommodity in
+      let c = Mc.solve_certified ~epsilon:0.15 g [| { Mc.src; dst; demand } |] in
+      let mf = (Rwc_flow.Maxflow.solve g ~src ~dst).Rwc_flow.Maxflow.value in
+      c.Mc.result.Mc.routed.(0) <= mf +. 1e-6
+      && mf <= (c.Mc.lambda_upper *. demand *. (1.0 +. 1e-9)) +. 1e-9)
+
 (* The runner's solve memo rests on this: a solve is a pure function of
    its input, so no state (a reused Dijkstra workspace, say) leaks from
    one solve into the next.  Solving A, then B, then A again must give
@@ -518,6 +551,8 @@ let suite =
       prop_mincost_limit_respected;
       prop_mc_feasible_and_capped;
       prop_mc_lambda_bounded_by_maxflow;
+      prop_mc_certificate_bounds_lambda;
+      prop_mc_certificate_single_maxflow;
       prop_mc_solve_pure;
       prop_adapt_always_feasible;
       prop_availability_bounded;
