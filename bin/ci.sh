@@ -37,17 +37,24 @@ echo "te/recomputes=$RECOMPUTES te/cache_hits=$HITS te/mcf_solve n=$SOLVES"
 [ "${HITS:-0}" -gt 0 ]
 [ "${RECOMPUTES:-0}" -eq "$((HITS + ${SOLVES:-0}))" ]
 
-echo "== TE kernel smoke: exact dual sums stay rare =="
-# The solver tests the dual objective on every augmenting path against
-# a running estimate and sums it exactly (O(m)) only at phase heads and
-# near 1.  Same run as above: paths must have been taken, and the exact
-# sums must be counted and fewer than the paths.
+echo "== TE kernel smoke: exact dual sums stay rare, trees are reused =="
+# The solver tests the dual objective before every step against a
+# running estimate and sums it exactly (O(m)) only at phase heads and
+# near 1.  Each step grows one shortest-path tree per source, or reuses
+# the last one's paths while they stay within (1 + eps) of shortest.
+# Same run as above: augmentations must have been taken, the exact sums
+# must be counted and fewer than the augmentations, and trees must have
+# been grown, fewer of them than augmentations.
 PATHS="$(awk '$1 == "mcf/augmenting_paths" { print $3 }' "$MEMO_OUT")"
 RECHECKS="$(awk '$1 == "mcf/dual_rechecks" { print $3 }' "$MEMO_OUT")"
-echo "mcf/augmenting_paths=$PATHS mcf/dual_rechecks=$RECHECKS"
+TREES="$(awk '$1 == "mcf/trees" { print $3 }' "$MEMO_OUT")"
+REUSES="$(awk '$1 == "mcf/path_reuses" { print $3 }' "$MEMO_OUT")"
+echo "mcf/augmenting_paths=$PATHS mcf/dual_rechecks=$RECHECKS mcf/trees=$TREES mcf/path_reuses=$REUSES"
 [ "${PATHS:-0}" -gt 0 ]
 [ -n "$RECHECKS" ]
 [ "$RECHECKS" -lt "$PATHS" ]
+[ "${TREES:-0}" -gt 0 ]
+[ "$TREES" -lt "$PATHS" ]
 rm -f "$MEMO_OUT"
 
 echo "== chaos smoke: rwc chaos --days 2 --factor 1 --policy adaptive-stock --json =="

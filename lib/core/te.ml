@@ -14,7 +14,9 @@ let mcf ?epsilon g commodities =
   Rwc_perf.record Rwc_perf.Te_solve (fun () ->
   Rwc_obs.Trace.with_span "te/mcf" (fun () ->
       Rwc_obs.Metrics.time m_mcf_solve (fun () ->
-          let { Mc.result = r; lambda_upper } = Mc.solve_certified ?epsilon g commodities in
+          let { Mc.result = r; lambda_upper } =
+            Mc.solve_certified ?epsilon g commodities
+          in
           {
             flow = r.Mc.flow;
             routed = r.Mc.routed;

@@ -21,8 +21,8 @@ type result = {
   lambda_upper : float;
       (** {!mcf}'s certificate: an upper bound on the optimal
           concurrent fraction of demand, as
-          {!Rwc_flow.Multicommodity.result} documents it.  [infinity]
-          from the allocators that give no bound. *)
+          {!Rwc_flow.Multicommodity.certified} documents it.
+          [infinity] from the allocators that give no bound. *)
 }
 
 val mcf :

@@ -41,9 +41,10 @@ module Workspace = struct
     prev : Graph.edge_id array;  (* edge into each vertex on its best path *)
     finalized : int array;  (* = [stamp] once finalized in this search *)
     target : int array;  (* = [stamp] for the targets of this search *)
+    order : int array;  (* vertices in the order this search finalized them *)
+    mutable n_order : int;
     one : int array;  (* the lone target of {!dijkstra} *)
     mutable stamp : int;
-    mutable root : int;  (* source of the last search *)
     mutable prio : float array;  (* heap *)
     mutable vertex : int array;
     mutable size : int;
@@ -88,9 +89,10 @@ module Workspace = struct
         prev = Array.make slots (-1);
         finalized = Array.make slots 0;
         target = Array.make slots 0;
+        order = Array.make slots 0;
+        n_order = 0;
         one = [| 0 |];
         stamp = 0;
-        root = 0;
         prio = Array.make (slots + 1) 0.0;
         vertex = Array.make (slots + 1) 0;
         size = 0;
@@ -149,7 +151,7 @@ module Workspace = struct
 
   let tree ws ~length ~src ~dsts ~n_dsts =
     let dist = ws.dist and prev = ws.prev and finalized = ws.finalized in
-    let target = ws.target in
+    let target = ws.target and order = ws.order in
     let offsets = ws.offsets and edge_ids = ws.edge_ids and heads = ws.heads in
     assert (ws.m <= Array.length length && n_dsts <= Array.length dsts);
     Array.fill dist 0 ws.n infinity;
@@ -157,9 +159,9 @@ module Workspace = struct
     let stamp = ws.stamp in
     ws.size <- 0;
     ws.path_len <- 0;
-    ws.root <- src;
-    (* Targets still to finalize; a repeated target counts once. *)
-    let pending = ref 0 in
+    (* Targets still to finalize, a repeated one counted once, and
+       vertices finalized so far. *)
+    let pending = ref 0 and n_order = ref 0 in
     for i = 0 to n_dsts - 1 do
       let v = dsts.(i) in
       if target.(v) <> stamp then begin
@@ -174,6 +176,8 @@ module Workspace = struct
       pop ws;
       if finalized.(v) <> stamp && d <= dist.(v) +. 1e-12 then begin
         finalized.(v) <- stamp;
+        order.(!n_order) <- v;
+        incr n_order;
         if target.(v) = stamp then decr pending;
         if !pending > 0 then begin
           (* Relaxing [v]'s out-edges cannot lower [dist.(v)]. *)
@@ -192,7 +196,8 @@ module Workspace = struct
           done
         end
       end
-    done
+    done;
+    ws.n_order <- !n_order
 
   (* A target is finalized exactly when it is reachable: the search
      stops early only once every target is finalized, and otherwise
@@ -201,31 +206,32 @@ module Workspace = struct
 
   let distance ws v = if reached ws v then ws.dist.(v) else infinity
 
-  let walk ws ~dst =
-    assert (reached ws dst);
-    (* Walk back once to count the hops, again to fill the buffer.
-       Only vertices reached in this search are on the walk, so
-       [prev] needs no reset between searches. *)
-    let tails = ws.csr.Graph.srcs and prev = ws.prev in
-    let v = ref dst and hops = ref 0 in
-    while !v <> ws.root do
-      incr hops;
-      v := tails.(prev.(!v))
-    done;
-    ws.path_len <- !hops;
-    v := dst;
-    for i = !hops - 1 downto 0 do
-      let eid = prev.(!v) in
-      ws.path.(i) <- eid;
-      v := tails.(eid)
-    done
+  let parents ws = ws.prev
+
+  let order ws = ws.order
+
+  let n_finalized ws = ws.n_order
 
   let dijkstra ws ~length ~src ~dst =
     ws.one.(0) <- dst;
     tree ws ~length ~src ~dsts:ws.one ~n_dsts:1;
     if not (reached ws dst) then false
     else begin
-      walk ws ~dst;
+      (* Walk back once to count the hops, again to fill the buffer.
+         Only vertices reached in this search are on the walk, so
+         [prev] needs no reset between searches. *)
+      let tails = ws.csr.Graph.srcs and prev = ws.prev in
+      let v = ref dst in
+      while !v <> src do
+        ws.path_len <- ws.path_len + 1;
+        v := tails.(prev.(!v))
+      done;
+      v := dst;
+      for i = ws.path_len - 1 downto 0 do
+        let eid = prev.(!v) in
+        ws.path.(i) <- eid;
+        v := tails.(eid)
+      done;
       true
     end
 

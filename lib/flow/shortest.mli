@@ -69,19 +69,28 @@ module Workspace : sig
   (** The last search's distance to a vertex it finalized;
       [infinity] for any other. *)
 
-  val walk : t -> dst:int -> unit
-  (** Loads the last tree's path from its source to [dst], which it
-      must have finalized, into the path buffer read by
-      {!path_length}, {!path_edge} and {!path}. *)
+  val parents : t -> Graph.edge_id array
+  (** The last search's tree, read in place: for a vertex it
+      finalized other than its source, the entry is the edge into that
+      vertex on its path from the source.  Other entries are left from
+      earlier searches.  Valid until the next search. *)
+
+  val order : t -> int array
+  (** The vertices the last search finalized, in the order it
+      finalized them (its source first), in the first
+      {!n_finalized} entries; a vertex's tree edge comes from one
+      finalized before it.  Valid until the next search. *)
+
+  val n_finalized : t -> int
 
   val dijkstra : t -> length:float array -> src:int -> dst:int -> bool
   (** Least-[length] path over the edges in the view: a {!tree} with
-      the one target [dst], then a {!walk} to it.  [false] when [dst]
-      is unreachable.  On [true] the path is left in the workspace
-      until the next run. *)
+      the one target [dst], and the path to it.  [false] when [dst] is
+      unreachable.  On [true] the path is left in the workspace until
+      the next run. *)
 
   val path_length : t -> int
-  (** Edges on the last path found or walked. *)
+  (** Edges on the last path found. *)
 
   val path_edge : t -> int -> Graph.edge_id
   (** [path_edge ws i] is the [i]-th edge from the source. *)

@@ -419,9 +419,10 @@ let wide_instance i =
   in
   (g, coms, epsilon)
 
-(* Digests captured before the augmenting-path loop was made
-   allocation-free; any change to the order of floating-point
-   operations in the kernel shows up here. *)
+(* Digests captured when the source-grouped kernel (one tree per
+   source, (1 + eps) path reuse, whole-phase result) landed; any
+   change to the order of floating-point operations in the kernel
+   shows up here. *)
 let test_mcf_golden_day_one ducts expected () =
   let g, coms, epsilon = day_one ~ducts in
   Alcotest.(check string)
@@ -442,18 +443,17 @@ let test_mcf_golden_random () =
         solve_digest
           (if m = 0 then { r with Multicommodity.flow = [| 0.0 |] } else r))
   in
-  Alcotest.(check string) "200 random instances" "85b729443745337a84315a095e5346f3"
+  Alcotest.(check string) "200 random instances" "7e4fb5066c3f00e12e3ce03d353ba419"
     (Digest.to_hex (Digest.string (String.concat "" digests)))
 
-(* This digest and the next were captured before the shortest-path
-   view and the running dual check went into the kernel. *)
+(* This digest and the next were captured with the ones above. *)
 let test_mcf_golden_wide () =
   let digests =
     List.init 1000 (fun i ->
         let g, coms, epsilon = wide_instance i in
         solve_digest (Multicommodity.solve ~epsilon g coms))
   in
-  Alcotest.(check string) "1,000 wide instances" "7868b80b143f2f71f766307929ab5548"
+  Alcotest.(check string) "1,000 wide instances" "26bdf02b4fe49babc2bb44bdc8e646f6"
     (Digest.to_hex (Digest.string (String.concat "" digests)))
 
 (* The North America solve at durable_na's knobs: top 10 demands,
@@ -464,7 +464,7 @@ let test_mcf_golden_na () =
       ~config:{ Rwc_sim.Runner.default_config with top_demands = 10; epsilon = 0.3 }
       Rwc_topology.Backbone.north_america
   in
-  Alcotest.(check string) "north america" "2845c34423c73d358e5c143d06ea84ad"
+  Alcotest.(check string) "north america" "751e451fc6cf27ce44ce428aefe9c7e1"
     (solve_digest (Multicommodity.solve ~epsilon g coms))
 
 (* Every TE result carries exactly one flow entry per edge, also on a
@@ -822,9 +822,9 @@ let suite =
     Alcotest.test_case "gk feasible demands" `Quick test_gk_feasible_demands;
     Alcotest.test_case "gk no commodities" `Quick test_gk_no_commodities;
     Alcotest.test_case "mcf golden day-one 50" `Quick
-      (test_mcf_golden_day_one 50 "ad151ba5a832f3d6624c8f6afa4c1d6e");
+      (test_mcf_golden_day_one 50 "ce8fa4d6111ea39b4f2f1baf7f332168");
     Alcotest.test_case "mcf golden day-one 200" `Quick
-      (test_mcf_golden_day_one 200 "834788a5a149ebac833c3ffe0499bc1f");
+      (test_mcf_golden_day_one 200 "e6944e062ed1a7c4945b0aadd8f0d87d");
     Alcotest.test_case "mcf golden random" `Quick test_mcf_golden_random;
     Alcotest.test_case "mcf golden wide" `Quick test_mcf_golden_wide;
     Alcotest.test_case "mcf golden north america" `Quick test_mcf_golden_na;

@@ -122,9 +122,17 @@ let prop_mc_lambda_bounded_by_maxflow =
 (* --- the multicommodity certificate ------------------------------------- *)
 
 (* Garg-Könemann's dual bound must sit above the lambda the solve
-   reaches: the bound is at least lambda*. *)
-let arbitrary_mc_eps =
-  QCheck.pair arbitrary_mc (QCheck.oneofl ~print:string_of_float [ 0.05; 0.1; 0.2; 0.3; 0.5 ])
+   reaches, and within the scheme's guarantee of it: the bound is at
+   least lambda*, and lambda >= (1 - eps)^3 / (1 + eps) * lambda* (the
+   (1 + eps) for paths reused while within (1 + eps) of shortest).
+   [lambda] is capped at 1, so the gap is measured against the bound
+   capped at 1 too.  The gap property leaves out eps = 0.05: there
+   the initial lengths sit far below the shortest-path search's
+   absolute 1e-12 slack for most of the solve, the search keeps the
+   first label it finds, and about one small instance in 40,000
+   misses the guarantee (DESIGN.md, "TE kernel"). *)
+let arbitrary_mc_eps epsilons =
+  QCheck.pair arbitrary_mc (QCheck.oneofl ~print:string_of_float epsilons)
 
 let certified input epsilon =
   let g, commodities = build_mc input in
@@ -132,10 +140,23 @@ let certified input epsilon =
 
 let prop_mc_certificate_bounds_lambda =
   QCheck.Test.make ~name:"multicommodity: lambda <= lambda_upper" ~count:200
-    arbitrary_mc_eps (fun (input, epsilon) ->
+    (arbitrary_mc_eps [ 0.05; 0.1; 0.2; 0.3; 0.5 ])
+    (fun (input, epsilon) ->
       let _, _, c = certified input epsilon in
       let module Mc = Rwc_flow.Multicommodity in
       c.Mc.result.Mc.lambda <= c.Mc.lambda_upper *. (1.0 +. 1e-9))
+
+let prop_mc_certificate_gap =
+  QCheck.Test.make
+    ~name:"multicommodity: lambda_upper / lambda <= (1+eps)/(1-eps)^3" ~count:200
+    (arbitrary_mc_eps [ 0.1; 0.2; 0.3; 0.5 ])
+    (fun (input, epsilon) ->
+      let _, commodities, c = certified input epsilon in
+      let module Mc = Rwc_flow.Multicommodity in
+      let lambda = c.Mc.result.Mc.lambda and upper = Float.min 1.0 c.Mc.lambda_upper in
+      Array.length commodities = 0
+      || (if lambda = 0.0 then upper = 0.0
+          else upper /. lambda <= (1.0 +. epsilon) /. ((1.0 -. epsilon) ** 3.0)))
 
 (* For one commodity the optimum is the max flow, which Maxflow
    computes exactly: routed <= max flow <= lambda_upper * demand. *)
@@ -552,6 +573,7 @@ let suite =
       prop_mc_feasible_and_capped;
       prop_mc_lambda_bounded_by_maxflow;
       prop_mc_certificate_bounds_lambda;
+      prop_mc_certificate_gap;
       prop_mc_certificate_single_maxflow;
       prop_mc_solve_pure;
       prop_adapt_always_feasible;

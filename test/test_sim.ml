@@ -202,32 +202,33 @@ let test_runner_deterministic () =
 
 (* These strings were captured from the build immediately BEFORE the
    fault-injection layer landed (config = default with days=2.0,
-   seed=7).  They pin the guarantee that `--faults none` consumes no
-   injector randomness and emits no fault fields: any drift in either
-   the pretty-printed report or its JSON is a regression, not a
-   formatting nit. *)
+   seed=7), and their TE-dependent figures re-captured when the
+   source-grouped TE kernel landed.  They pin the guarantee that
+   `--faults none` consumes no injector randomness and emits no fault
+   fields: any drift in either the pretty-printed report or its JSON
+   is a regression, not a formatting nit. *)
 let golden_pp =
   [
-    "static-100G            delivered=  600.80 Pbit  avg-tput= 3476.9 Gbps  \
+    "static-100G            delivered=  601.78 Pbit  avg-tput= 3482.5 Gbps  \
      avg-cap=17200.0 Gbps  avail=1.00000  fail=   0  flap=   0  reconf=   0  \
      downtime=     0.0s";
-    "static-max             delivered= 1200.13 Pbit  avg-tput= 6945.2 Gbps  \
+    "static-max             delivered= 1200.07 Pbit  avg-tput= 6944.9 Gbps  \
      avg-cap=34275.5 Gbps  avail=0.99927  fail=   3  flap=   0  reconf=   0  \
      downtime=     0.0s";
-    "adaptive-stock-bvt     delivered= 1162.77 Pbit  avg-tput= 6729.0 Gbps  \
+    "adaptive-stock-bvt     delivered= 1163.03 Pbit  avg-tput= 6730.5 Gbps  \
      avg-cap=33385.9 Gbps  avail=0.99835  fail=   0  flap=   3  reconf= 177  \
      downtime= 12270.6s";
-    "adaptive-efficient-bvt delivered= 1169.19 Pbit  avg-tput= 6766.2 Gbps  \
+    "adaptive-efficient-bvt delivered= 1169.39 Pbit  avg-tput= 6767.3 Gbps  \
      avg-cap=33385.9 Gbps  avail=1.00000  fail=   0  flap=   3  reconf= 177  \
      downtime=     6.3s";
   ]
 
 let golden_json =
   [
-    {|{"policy":"static-100G","delivered_pbit":600.802297115,"offered_pbit":2229.12,"avg_throughput_gbps":3476.86514534,"avg_capacity_gbps":17200.0,"duct_availability":1.0,"failures":0,"flaps":0,"reconfigurations":0,"reconfig_downtime_s":0.0}|};
-    {|{"policy":"static-max","delivered_pbit":1200.12720107,"offered_pbit":2229.12,"avg_throughput_gbps":6945.18056173,"avg_capacity_gbps":34275.5208333,"duct_availability":0.999273255814,"failures":3,"flaps":0,"reconfigurations":0,"reconfig_downtime_s":0.0}|};
-    {|{"policy":"adaptive-stock-bvt","delivered_pbit":1162.7674053,"offered_pbit":2229.12,"avg_throughput_gbps":6728.97803991,"avg_capacity_gbps":33385.9375,"duct_availability":0.998348592324,"failures":0,"flaps":3,"reconfigurations":177,"reconfig_downtime_s":12270.619598}|};
-    {|{"policy":"adaptive-efficient-bvt","delivered_pbit":1169.19333709,"offered_pbit":2229.12,"avg_throughput_gbps":6766.16514518,"avg_capacity_gbps":33385.9375,"duct_availability":0.999999150011,"failures":0,"flaps":3,"reconfigurations":177,"reconfig_downtime_s":6.31576008719}|};
+    {|{"policy":"static-100G","delivered_pbit":601.783689054,"offered_pbit":2229.12,"avg_throughput_gbps":3482.54449684,"avg_capacity_gbps":17200.0,"duct_availability":1.0,"failures":0,"flaps":0,"reconfigurations":0,"reconfig_downtime_s":0.0}|};
+    {|{"policy":"static-max","delivered_pbit":1200.07249088,"offered_pbit":2229.12,"avg_throughput_gbps":6944.86395183,"avg_capacity_gbps":34275.5208333,"duct_availability":0.999273255814,"failures":3,"flaps":0,"reconfigurations":0,"reconfig_downtime_s":0.0}|};
+    {|{"policy":"adaptive-stock-bvt","delivered_pbit":1163.02609237,"offered_pbit":2229.12,"avg_throughput_gbps":6730.47507161,"avg_capacity_gbps":33385.9375,"duct_availability":0.998348592324,"failures":0,"flaps":3,"reconfigurations":177,"reconfig_downtime_s":12270.619598}|};
+    {|{"policy":"adaptive-efficient-bvt","delivered_pbit":1169.39184252,"offered_pbit":2229.12,"avg_throughput_gbps":6767.3139035,"avg_capacity_gbps":33385.9375,"duct_availability":0.999999150011,"failures":0,"flaps":3,"reconfigurations":177,"reconfig_downtime_s":6.31576008719}|};
   ]
 
 let golden_reports =

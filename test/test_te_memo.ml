@@ -240,27 +240,29 @@ let check_digests name ~expect got =
   Alcotest.(check string) (name ^ ": journal") expect.journal got.journal;
   Alcotest.(check string) (name ^ ": checkpoints") expect.checkpoints got.checkpoints
 
-(* Captured before the memo existed; never re-pin them to make a change
-   pass. *)
+(* Captured before the memo existed; the reports and checkpoints
+   re-captured when the source-grouped TE kernel changed every solve's
+   output (the journals did not move).  Never re-pin them to make a
+   change pass. *)
 let serve_golden =
   {
-    report = "92d8ff9fb06975839333a49c81456533";
+    report = "dcb9f5c5e0fa04ad24977329efa9e775";
     journal = "4ba23f72f30b67394671312007897bae";
-    checkpoints = "8ec57ff315813c44ced9f8f1ce2c7489";
+    checkpoints = "a1ca9639ab0c97b1787718b99ede5c02";
   }
 
 let faults_golden =
   {
-    report = "6c708aadb61b223f7a18712e4b198c43";
+    report = "256b522514c8dc44005e78fa8789c5b2";
     journal = "5371f1b8cc36ac55a40c47179c5df88c";
-    checkpoints = "00acc92944a9dd0c85357ebbe5ae21da";
+    checkpoints = "3537c099236f7b82bdb9c389150eeb24";
   }
 
 let resumed_golden =
   {
-    report = "9255212b1b5f00c12dac1bc56a7d9524";
+    report = "fe2ed2402765feef6fe57ac3733bc6d9";
     journal = "5371f1b8cc36ac55a40c47179c5df88c";
-    checkpoints = "c2d6a24c71349c06bb272e45880b635a";
+    checkpoints = "8fc20c83f25ef450f22be4975b1e5338";
   }
 
 let policy = Runner.Adaptive Runner.Efficient
