@@ -2160,9 +2160,11 @@ let fsck_checkpoints_arg =
     & info [ "checkpoints" ] ~docv:"DIR"
         ~doc:
           "Checkpoint directory to check: orphaned $(b,*.tmp) files are \
-           removed and checkpoints failing CRC/version/JSON validation are \
-           quarantined to $(b,*.corrupt), dropping them from the resume \
-           fallback chain.")
+           removed, standalone checkpoints failing CRC/version/JSON \
+           validation are quarantined to $(b,*.corrupt), dropping them from \
+           the resume fallback chain, and a damaged ring slot \
+           ($(b,ring-K.ckpt), e.g. a torn overwrite) has its header \
+           cleared, leaving an empty slot.")
 
 let fsck_dry_run_flag =
   Arg.(

@@ -84,6 +84,7 @@ type ctx = {
    a crash and the resumed run replays the same gate outcome. *)
 let version = 3
 let keep_checkpoints = 3
+let ring_slots = keep_checkpoints + 1
 
 (* ---- CRC32 (reflected, polynomial 0xEDB88320) ------------------------- *)
 
@@ -618,23 +619,106 @@ let read_file path =
   | s -> Some s
   | exception Sys_error _ -> None
 
+(* ---- Checkpoint ring ---------------------------------------------------
+
+   Mid-run checkpoints go to a fixed ring of [ring_slots] files,
+   [ring-K.ckpt], checkpoint [seq] to slot [seq mod ring_slots].  A
+   slot is overwritten in place from offset 0 with a 32-byte header
+   (magic, seq, record length) and the exact record bytes of
+   [checkpoint_to_string]: one write and one fsync, no create, rename,
+   readdir or unlink once the ring exists, and no size change while
+   records keep their length.  Bytes past the record (left by a longer
+   earlier one) are ignored.  A torn overwrite destroys only the slot's
+   own record; the other slots hold the three before it, the fallback
+   chain [keep_checkpoints] names.
+
+   A slot is valid when its header parses, its record fits in the
+   file, the record passes [checkpoint_of_string] and carries the
+   header's seq.  So any single-bit flip or truncation inside header
+   or record rejects the slot: the header's digits are cross-checked
+   against the record, and a changed length cuts or overruns the CRC
+   trailer.  An all-NUL header is an empty slot, which is what
+   [clear_slot] (fsck's repair) leaves. *)
+
+let slot_magic = "rwc-slot"
+let header_len = 32
+
+(* "rwc-slot SSSSSSSSSSSS LLLLLLLLL\n": magic at 0, seq at 9, record
+   length at 22, newline at 31. *)
+let slot_header ~seq ~len = Printf.sprintf "%s %012d %09d\n" slot_magic seq len
+
+let slot_name k = Printf.sprintf "ring-%d.ckpt" k
+
+let slot_index name =
+  List.find_opt (fun k -> slot_name k = name) (List.init ring_slots Fun.id)
+
+type slot = Empty | Bad of string | Record of int * string
+
+let digits s ~off ~len =
+  let sub = String.sub s off len in
+  if String.for_all (fun c -> c >= '0' && c <= '9') sub then
+    Some (int_of_string sub)
+  else None
+
+let parse_slot s =
+  let n = String.length s in
+  if String.for_all (fun c -> c = '\000') (String.sub s 0 (min n header_len))
+  then Empty
+  else if n < header_len then Bad "torn slot header"
+  else if
+    String.sub s 0 8 <> slot_magic || s.[8] <> ' ' || s.[21] <> ' '
+    || s.[31] <> '\n'
+  then Bad "bad slot header"
+  else
+    match (digits s ~off:9 ~len:12, digits s ~off:22 ~len:9) with
+    | Some seq, Some len when header_len + len <= n ->
+        Record (seq, String.sub s header_len len)
+    | Some _, Some len ->
+        Bad
+          (Printf.sprintf "slot record of %d bytes runs past the end of the file"
+             len)
+    | _ -> Bad "bad slot header"
+
+(* A record is usable only under the seq its slot header or file name
+   gives it. *)
+let decode_record ~seq s =
+  match checkpoint_of_string s with
+  | Ok c when c.ck_seq = seq -> Ok c
+  | Ok c -> Error (Printf.sprintf "checkpoint seq %d stored as %d" c.ck_seq seq)
+  | Error _ as e -> e
+
+let records dir =
+  let slot k =
+    match Option.map parse_slot (read_file (Filename.concat dir (slot_name k))) with
+    | Some (Record (seq, r)) -> Some (seq, r)
+    | Some (Empty | Bad _) | None -> None
+  and file seq = Option.map (fun s -> (seq, s)) (read_file (file_of_seq dir seq)) in
+  List.filter_map slot (List.init ring_slots Fun.id)
+  @ List.filter_map file (list_seqs dir)
+  |> List.sort (fun (a, _) (b, _) -> compare b a)
+
+let check_slot path =
+  match read_file path with
+  | None -> Error "unreadable checkpoint slot"
+  | Some s -> (
+      match parse_slot s with
+      | Empty -> Ok ()
+      | Bad e -> Error e
+      | Record (seq, r) -> Result.map ignore (decode_record ~seq r))
+
+let clear_slot path = Rwc_storm.overwrite path (String.make header_len '\000')
+
 let load_first dir ~usable =
   Rwc_perf.record Rwc_perf.Checkpoint_restore (fun () ->
-      let rec first_valid = function
-        | [] -> Ok None
-        | seq :: rest -> (
-            match read_file (file_of_seq dir seq) with
-            | None -> first_valid rest
-            | Some s -> (
-                match checkpoint_of_string s with
-                | Ok c when usable c -> Ok (Some c)
-                | Ok _ | Error _ ->
-                    (* A torn, truncated, stale-version or unusable
-                       file: fall back to the previous checkpoint
-                       rather than refusing to resume. *)
-                    first_valid rest))
-      in
-      first_valid (list_seqs dir))
+      (* A torn, truncated, stale-version or unusable record: fall back
+         to the previous one rather than refusing to resume. *)
+      Ok
+        (List.find_map
+           (fun (seq, s) ->
+             match decode_record ~seq s with
+             | Ok c when usable c -> Some c
+             | Ok _ | Error _ -> None)
+           (records dir)))
 
 let load_latest dir = load_first dir ~usable:(fun _ -> true)
 
@@ -661,26 +745,33 @@ let save ctx ~seed ~days ~journal_events ~journal_bytes ~completed ~run =
   Rwc_perf.record Rwc_perf.Checkpoint_write (fun () ->
       let seq = ctx.next_seq in
       ctx.next_seq <- seq + 1;
-      let c =
-        {
-          ck_seq = seq;
-          ck_seed = seed;
-          ck_days = days;
-          ck_journal_events = journal_events;
-          ck_journal_bytes = journal_bytes;
-          ck_completed = completed;
-          ck_run = run;
-        }
+      let image =
+        checkpoint_to_string
+          {
+            ck_seq = seq;
+            ck_seed = seed;
+            ck_days = days;
+            ck_journal_events = journal_events;
+            ck_journal_bytes = journal_bytes;
+            ck_completed = completed;
+            ck_run = run;
+          }
       in
-      let path = file_of_seq ctx.dir seq in
-      Rwc_storm.atomic_write path (checkpoint_to_string c);
-      (* Prune: keep the newest [keep_checkpoints] so a corrupted newest
-         file still has valid predecessors to fall back to. *)
-      List.iteri
-        (fun i seq ->
-          if i >= keep_checkpoints then
-            Rwc_storm.remove (file_of_seq ctx.dir seq))
-        (list_seqs ctx.dir))
+      match run with
+      | Some _ ->
+          Rwc_storm.overwrite
+            (Filename.concat ctx.dir (slot_name (seq mod ring_slots)))
+            (slot_header ~seq ~len:(String.length image) ^ image)
+      | None ->
+          (* Policy boundaries: a standalone file, pruned to the newest
+             [keep_checkpoints] so a corrupted newest one still has
+             valid predecessors. *)
+          Rwc_storm.atomic_write (file_of_seq ctx.dir seq) image;
+          List.iteri
+            (fun i seq ->
+              if i >= keep_checkpoints then
+                Rwc_storm.remove (file_of_seq ctx.dir seq))
+            (list_seqs ctx.dir))
 
 (* ---- Resume provenance --------------------------------------------------
 
@@ -779,7 +870,7 @@ let create ~dir ~every ?journal_path ?(slo = Rwc_journal.Slo.none) ~faults
           if plan_has_crash faults then Rwc_fault.compile faults
           else Rwc_fault.disarmed
         in
-        let next_seq = match list_seqs dir with [] -> 0 | s :: _ -> s + 1 in
+        let next_seq = match records dir with [] -> 0 | (s, _) :: _ -> s + 1 in
         let ctx =
           {
             dir;

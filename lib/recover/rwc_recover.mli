@@ -10,10 +10,11 @@
     The design splits responsibility three ways:
 
     - {b this module} owns the durable artifact: a versioned
-      {!checkpoint} of the full control-loop state as plain data,
-      written atomically (temp file + rename) with a CRC32 trailer so
-      a torn or truncated file is detected at load time and the
-      previous checkpoint is used instead;
+      {!checkpoint} of the full control-loop state as plain data with
+      a CRC32 trailer, overwritten in place into a four-slot ring
+      mid-run (written atomically, temp file + rename, at policy
+      boundaries), so a torn or truncated record is detected at load
+      time and the previous checkpoint is used instead;
     - {b the runner} ({!Rwc_sim}) captures and restores the live
       state: DES clock and pending events (as reconstructible
       descriptors, since handlers are closures), per-duct SNR and
@@ -203,6 +204,10 @@ val checkpoint_of_string : string -> (checkpoint, string) result
 
 (** {1 Checkpoint store} *)
 
+val ring_slots : int
+(** 4: mid-run checkpoint [seq] lives in slot [seq mod ring_slots], so
+    the other slots keep the three checkpoints before it. *)
+
 val save :
   ctx ->
   seed:int ->
@@ -212,13 +217,25 @@ val save :
   completed:(string * string * string) list ->
   run:run_state option ->
   unit
-(** Write the next [ckpt-<seq>.json] atomically (temp + rename) and
-    prune all but the newest three — the fallback chain a corrupted
-    newest file needs.  Raises [Sys_error] if the directory vanishes. *)
+(** Write checkpoint [ctx.next_seq].  A mid-run checkpoint
+    ([run = Some _]) overwrites ring slot [ring-<seq mod 4>.ckpt] in
+    place: a 32-byte header (magic, seq, record length), then the
+    {!checkpoint_to_string} bytes — one [Write] and one [Sync]
+    storage boundary, no rename.  A policy-boundary checkpoint
+    ([run = None]) is a standalone [ckpt-<seq>.json] written by
+    {!Rwc_storm.atomic_write}; standalone files are pruned to the
+    newest three.  Raises [Sys_error] if the directory vanishes. *)
+
+val records : string -> (int * string) list
+(** Every checkpoint record in the directory as (seq, record bytes),
+    newest first: the ring slots whose header parses and the
+    standalone [ckpt-<seq>.json] files.  The bytes are not validated
+    (a torn slot is listed); [[]] for a missing directory. *)
 
 val load_latest : string -> (checkpoint option, string) result
-(** Newest checkpoint in the directory that passes CRC and version
-    validation; silently skips corrupt or truncated files in favor of
+(** Newest record among the ring slots and standalone files that
+    passes CRC and version validation and carries the seq it is stored
+    under; silently skips corrupt or truncated records in favor of
     older ones.  [Ok None] when the directory is missing or holds no
     valid checkpoint. *)
 
@@ -231,6 +248,18 @@ val load_resumable :
 val file_seq : string -> int option
 (** [file_seq "ckpt-000042.json"] is [Some 42]; [None] for any name
     that is not a checkpoint file.  Exposed for [rwc fsck]. *)
+
+val slot_index : string -> int option
+(** [slot_index "ring-2.ckpt"] is [Some 2]; [None] for any name that
+    is not a ring slot.  Exposed for [rwc fsck]. *)
+
+val check_slot : string -> (unit, string) result
+(** [Ok ()] for an empty slot (all-NUL header) or one holding a valid
+    record; [Error] naming the damage otherwise. *)
+
+val clear_slot : string -> unit
+(** Overwrite the slot's header with NULs in place, leaving an empty
+    slot — fsck's repair for a damaged one. *)
 
 (** {1 Directory hygiene} *)
 

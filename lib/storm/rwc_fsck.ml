@@ -128,6 +128,22 @@ let scan_checkpoints ~repair dir =
             }
             :: !findings
         end
+        else if Rwc_recover.slot_index name <> None then begin
+          match Rwc_recover.check_slot full with
+          | Ok () -> ()
+          | Error e ->
+              (* A torn or damaged slot: clearing its header leaves an
+                 empty slot, and resume uses the other three. *)
+              if repair then Rwc_recover.clear_slot full;
+              findings :=
+                {
+                  f_path = full;
+                  f_problem = "corrupt checkpoint slot";
+                  f_action = (if repair then Repaired else Noted);
+                  f_detail = e;
+                }
+                :: !findings
+        end
         else if Rwc_recover.file_seq name <> None then begin
           match In_channel.with_open_bin full In_channel.input_all with
           | exception Sys_error e ->

@@ -13,9 +13,12 @@
       are unrepairable: they are reported as {!Noted} and left for the
       readers' skip-and-count path;
     - {b checkpoint directories}: orphaned [*.tmp] files are removed,
-      and checkpoint files failing CRC/version/JSON validation are
-      renamed to [<name>.corrupt] — out of the prune-fallback chain
-      that resume scans, but on disk for forensics.
+      standalone checkpoint files failing CRC/version/JSON validation
+      are renamed to [<name>.corrupt] — out of the prune-fallback
+      chain that resume scans, but on disk for forensics — and a ring
+      slot whose header or record fails validation has its header
+      cleared in place ({!Rwc_recover.clear_slot}), leaving an empty
+      slot.
 
     Repair is idempotent: a second {!scan} over a repaired tree
     reports zero findings (when nothing was {!Noted}).  Reports are
@@ -23,7 +26,9 @@
     on wall-clock or directory order. *)
 
 type action =
-  | Repaired  (** Damage fixed in place (journal tail truncated). *)
+  | Repaired
+      (** Damage fixed in place (journal tail truncated, ring slot
+          cleared). *)
   | Removed  (** Artifact deleted (orphan temp file). *)
   | Quarantined  (** Renamed to [*.corrupt], out of the resume chain. *)
   | Noted  (** Reported but not touched (dry-run, or unrepairable). *)

@@ -130,6 +130,21 @@ let rename_lost () =
       Rwc_fault.fires inj Rwc_fault.Io_torn_rename
         ~now:(float_of_int st.ordinal)
 
+(* Only a regular file's fsync is checked: EIO or ENOSPC there means
+   the bytes may not be on disk, a failed write like a short
+   [write(2)].  Devices, pipes and sockets (/dev/null sinks) reject
+   fsync with EINVAL, and directories may on some file systems; for
+   them it stays best-effort. *)
+let sync_strict fd = (Unix.fstat fd).Unix.st_kind = Unix.S_REG
+
+(* A [Sync] boundary, then the fsync itself. *)
+let sync_fd fd =
+  (match cross Sync with
+  | Some ordinal -> raise (Killed { ordinal; kind = Sync })
+  | None -> ());
+  try Unix.fsync fd
+  with Unix.Unix_error (_, _, _) as e -> if sync_strict fd then raise e
+
 module Writer = struct
   type t = {
     path : string;
@@ -162,6 +177,7 @@ module Writer = struct
       }
 
   let create path = make path Unix.[ O_WRONLY; O_CREAT; O_TRUNC ]
+  let overwrite path = make path Unix.[ O_WRONLY; O_CREAT ]
 
   let append path =
     let t = make path Unix.[ O_WRONLY; O_CREAT; O_APPEND ] in
@@ -182,24 +198,35 @@ module Writer = struct
     in
     go 0
 
+  (* One non-empty flushed chunk: a [Write] boundary, and the unit of
+     fault application. *)
+  let write_chunk t chunk =
+    match t.fd with
+    | None -> ()
+    | Some fd ->
+        if not st.dead then begin
+          match cross Write with
+          | Some ordinal ->
+              (* Die mid-flush: the first half of the chunk reaches
+                 the disk, the rest never does — the torn journal tail
+                 or checkpoint slot fsck must be able to repair. *)
+              really_write fd (String.sub chunk 0 (String.length chunk / 2));
+              raise (Killed { ordinal; kind = Write })
+          | None -> really_write fd (apply_faults chunk)
+        end
+
   let flush t =
     if Buffer.length t.buf > 0 then begin
       let chunk = Buffer.contents t.buf in
       Buffer.clear t.buf;
-      match t.fd with
-      | None -> ()
-      | Some fd ->
-          if not st.dead then begin
-            match cross Write with
-            | Some ordinal ->
-                (* Die mid-flush: the first half of the chunk reaches
-                   the disk, the rest never does — the torn tail the
-                   journal fsck must be able to cut back. *)
-                really_write fd (String.sub chunk 0 (String.length chunk / 2));
-                raise (Killed { ordinal; kind = Write })
-            | None -> really_write fd (apply_faults chunk)
-          end
+      write_chunk t chunk
     end
+
+  (* [write] then [flush] without copying [s] through the buffer. *)
+  let write_flush t s =
+    flush t;
+    t.logical <- t.logical + String.length s;
+    if s <> "" then write_chunk t s
 
   let write t s =
     t.logical <- t.logical + String.length s;
@@ -210,15 +237,7 @@ module Writer = struct
     flush t;
     match t.fd with
     | None -> ()
-    | Some fd ->
-        if not st.dead then begin
-          (match cross Sync with
-          | Some ordinal -> raise (Killed { ordinal; kind = Sync })
-          | None -> ());
-          (* fsync is best-effort: special files (/dev/null, pipes)
-             reject it and that must not fail the write path. *)
-          try Unix.fsync fd with Unix.Unix_error (_, _, _) -> ()
-        end
+    | Some fd -> if not st.dead then sync_fd fd
 
   let close t =
     if not t.closed then
@@ -248,29 +267,41 @@ let rename ~src ~dst =
 let remove path =
   if not st.dead then try Sys.remove path with Sys_error _ -> ()
 
+(* Write [content] through [w] and close it.  A kill inside
+   write/close has already set dead-mode, so the second close on the
+   way out is a pure fd release. *)
+let write_all w content =
+  try
+    Writer.write_flush w content;
+    Writer.close w
+  with e ->
+    (try Writer.close w with _ -> ());
+    raise e
+
+(* The directory entry a rename made is durable only once the
+   directory itself is fsynced. *)
+let sync_dir dir =
+  if not st.dead then begin
+    let fd = Writer.open_fd dir Unix.[ O_RDONLY; O_CLOEXEC ] in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
+      (fun () -> sync_fd fd)
+  end
+
 let atomic_write path content =
   let tmp = path ^ ".tmp" in
-  let w = Writer.create tmp in
-  (try
-     Writer.write w content;
-     Writer.close w
-   with e ->
-     (* A kill inside write/close has already set dead-mode, so this
-        second close is a pure fd release. *)
-     (try Writer.close w with _ -> ());
-     raise e);
-  rename ~src:tmp ~dst:path
+  write_all (Writer.create tmp) content;
+  rename ~src:tmp ~dst:path;
+  sync_dir (Filename.dirname path)
 
-let write_file path content =
-  (* In-place (no tmp+rename): callers pass device paths such as
-     /dev/null, which a rename would replace with a regular file. *)
-  let w = Writer.create path in
-  (try
-     Writer.write w content;
-     Writer.close w
-   with e ->
-     (try Writer.close w with _ -> ());
-     raise e)
+(* In-place (no tmp+rename): callers pass device paths such as
+   /dev/null, which a rename would replace with a regular file. *)
+let write_file path content = write_all (Writer.create path) content
+
+(* No O_TRUNC: bytes past [content] stay, and a file already at least
+   this long keeps its size and blocks, so the fsync commits data
+   only. *)
+let overwrite path content = write_all (Writer.overwrite path) content
 
 let plan_of_string s =
   match Rwc_fault.of_string s with

@@ -61,6 +61,11 @@ val counts : unit -> int * int * int
 
 val dead : unit -> bool
 
+val sync_strict : Unix.file_descr -> bool
+(** Whether an [fsync] failure on this descriptor fails the write:
+    true exactly for regular files.  Character devices, pipes, sockets
+    and directories may reject fsync by design. *)
+
 module Writer : sig
   type t
 
@@ -84,8 +89,10 @@ module Writer : sig
       chunk lands short / dropped / bit-flipped as one. *)
 
   val sync : t -> unit
-  (** {!flush}, then a [Sync] boundary, then [fsync] (best-effort:
-      special files that reject fsync do not fail the writer). *)
+  (** {!flush}, then a [Sync] boundary, then [fsync].  On a regular
+      file a failing fsync raises its [Unix.Unix_error], like a failed
+      [write(2)]; on anything else ({!sync_strict} false) it is
+      best-effort, so [/dev/null] and pipe sinks still work. *)
 
   val close : t -> unit
   (** {!sync}, then close the descriptor.  Idempotent; the descriptor
@@ -107,7 +114,16 @@ val remove : string -> unit
 
 val atomic_write : string -> string -> unit
 (** [atomic_write path content]: write [content] to [path ^ ".tmp"],
-    sync, rename over [path].  The checkpoint-style durable write. *)
+    sync, rename over [path], then fsync the parent directory so the
+    rename itself is durable (a second [Sync] boundary).  Boundaries
+    for non-empty [content]: one [Write], two [Sync], one [Rename]. *)
+
+val overwrite : string -> string -> unit
+(** [overwrite path content]: write [content] at offset 0 of [path]
+    in place (no truncation, no temp file, no rename), then fsync.
+    One [Write] and one [Sync] boundary for non-empty [content].  A
+    kill at the write leaves the first half of [content] over the old
+    bytes: the file is torn, and its reader must detect that. *)
 
 val write_file : string -> string -> unit
 (** Whole-file write {e in place} (create/truncate, no tmp+rename) —

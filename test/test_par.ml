@@ -238,21 +238,18 @@ let test_checkpoint_byte_identity () =
          with
         | [ Runner.Ran _ ] -> ()
         | _ -> Alcotest.fail "expected one Ran outcome");
-        Sys.readdir ckdir |> Array.to_list
-        |> List.filter (fun n -> Filename.check_suffix n ".json")
-        |> List.sort compare
-        |> List.map (fun n -> (n, slurp (Filename.concat ckdir n)))
+        List.map
+          (fun (seq, bytes) -> (Printf.sprintf "checkpoint %d" seq, bytes))
+          (R.records ckdir)
       in
       let ref_cks = checkpoints ~domains:1 in
       let par_cks = checkpoints ~domains:4 in
       Alcotest.(check (list string))
-        "same checkpoint files"
+        "same checkpoint records"
         (List.map fst ref_cks) (List.map fst par_cks);
       List.iter2
         (fun (name, a) (_, b) ->
-          Alcotest.(check string)
-            (Printf.sprintf "checkpoint %s bytes" name)
-            a b)
+          Alcotest.(check string) (name ^ " bytes") a b)
         ref_cks par_cks)
 
 (* Crash + restart under --domains 4: the recovery loop replays from

@@ -269,6 +269,119 @@ let test_resume_marks () =
       Alcotest.(check bool) "fresh run clears marks" true
         (R.resume_marks dir = []))
 
+(* --- checkpoint ring ------------------------------------------------------ *)
+
+let save_mid ctx run =
+  R.save ctx ~seed:7 ~days:2.0 ~journal_events:1 ~journal_bytes:10
+    ~completed:[] ~run:(Some run)
+
+let sample_run () =
+  match (sample_checkpoint ()).R.ck_run with
+  | Some r -> r
+  | None -> assert false
+
+(* The per-sweep syscall shape: a mid-run save is one in-place write
+   and one fsync, nothing else; a policy-boundary save keeps the
+   temp + rename commit and fsyncs the directory after it. *)
+let test_save_boundary_shape () =
+  with_temp_dir (fun dir ->
+      let ctx, _ = make_ctx dir in
+      let run = sample_run () in
+      let delta f =
+        Rwc_storm.reset ();
+        f ();
+        Rwc_storm.counts ()
+      in
+      Fun.protect ~finally:Rwc_storm.reset (fun () ->
+          let shape = Alcotest.(triple int int int) in
+          (* The first save creates the slot, the fifth reuses it. *)
+          for i = 0 to 4 do
+            Alcotest.(check shape)
+              (Printf.sprintf "mid-run save %d: 1 write, 1 sync, 0 renames" i)
+              (1, 1, 0)
+              (delta (fun () -> save_mid ctx run))
+          done;
+          Alcotest.(check shape) "boundary save: 1 write, 2 syncs, 1 rename"
+            (1, 2, 1)
+            (delta (fun () ->
+                 R.save ctx ~seed:7 ~days:2.0 ~journal_events:1
+                   ~journal_bytes:10 ~completed:[] ~run:None));
+          Alcotest.(check (list string))
+            "four slots and one standalone file"
+            [ "ckpt-000005.json"; "ring-0.ckpt"; "ring-1.ckpt"; "ring-2.ckpt";
+              "ring-3.ckpt" ]
+            (List.sort compare (Array.to_list (Sys.readdir dir)));
+          Alcotest.(check (list int)) "records newest first" [ 5; 4; 3; 2; 1 ]
+            (List.map fst (R.records dir))))
+
+(* A ring of six saves of shrinking size (so slots 0 and 1 keep a
+   stale tail past their newest record), then one slot damaged by a
+   bit flip anywhere in its file, a bit flip in its 32-byte header
+   (a uniform flip rarely lands there), or a truncation anywhere.  The
+   damaged slot's record survives exactly when the damage lies past
+   its header and record; [load_latest] must return the newest
+   surviving record and never raise, and fsck must converge in one
+   pass. *)
+let prop_ring_damage =
+  QCheck.Test.make ~count:300
+    ~name:"recover: any bit flip or cut in a ring slot, newest valid loads"
+    QCheck.(
+      triple (int_range 0 (R.ring_slots - 1)) (int_range 0 2)
+        (int_range 0 1_000_000))
+    (fun (slot, mode, where) ->
+      let flip = mode < 2 in
+      with_temp_dir (fun dir ->
+          let ctx, _ = make_ctx dir in
+          let run = sample_run () in
+          for i = 0 to 5 do
+            save_mid ctx
+              { run with R.r_policy = String.make (100 - (15 * i)) 'p' }
+          done;
+          let records = R.records dir in
+          let path = Filename.concat dir (Printf.sprintf "ring-%d.ckpt" slot) in
+          let seq, bytes =
+            List.find (fun (seq, _) -> seq mod R.ring_slots = slot) records
+          in
+          let file = In_channel.with_open_bin path In_channel.input_all in
+          let framed = 32 + String.length bytes in
+          let damaged_at, image =
+            if flip then begin
+              let bits = if mode = 1 then 32 * 8 else String.length file * 8 in
+              let bit = where mod bits in
+              let b = Bytes.of_string file in
+              let i = bit / 8 in
+              Bytes.set b i
+                (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+              (i, Bytes.to_string b)
+            end
+            else
+              let cut = where mod (String.length file + 1) in
+              (cut, String.sub file 0 cut)
+          in
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc image);
+          let expected =
+            List.fold_left
+              (fun acc (s, _) ->
+                if s <> seq || damaged_at >= framed then max acc s else acc)
+              (-1) records
+          in
+          let loads () =
+            match R.load_latest dir with
+            | Ok (Some c) -> c.R.ck_seq = expected
+            | Ok None | Error _ -> false
+          in
+          let scan () =
+            match Rwc_fsck.scan ~checkpoints:dir () with
+            | Ok r -> List.length r.Rwc_fsck.findings
+            | Error _ -> -1
+          in
+          let first = scan () in
+          let clean = damaged_at >= framed || ((not flip) && damaged_at = 0) in
+          loads ()
+          && first = (if clean then 0 else 1)
+          && scan () = 0 && loads ()))
+
 (* --- crash + resume byte-identity -------------------------------------- *)
 
 let small_config ?(journal = Rwc_journal.disarmed) ~seed ~faults () =
@@ -338,8 +451,10 @@ let test_crash_resume_golden () =
    default SLO plan, a checkpoint at every sample — captured before the
    codec was rewritten; the checkpoints re-captured when the
    source-grouped TE kernel changed the TE flows they hold (the journal
-   did not move).  The store keeps only the newest three files,
-   so each checkpoint is digested as soon as it appears. *)
+   did not move).  Each record is listed under the name it had when
+   every checkpoint was its own file, [ckpt-<seq>.json]; the ring
+   overwrites a slot four checkpoints later, so each record is
+   digested as soon as it appears. *)
 let durable_checkpoint_count = 193
 let durable_checkpoints_digest = "caa0d43146531150cd8021f51fd54faa"
 let durable_journal_digest = "e762c90ec25d1e736ea0a4202633615c"
@@ -358,15 +473,15 @@ let test_durable_bytes_golden () =
         | Ok (ctx, _) -> ctx
         | Error e -> Alcotest.failf "create: %s" e
       in
+      Rwc_storm.reset ();
       let seen = Hashtbl.create 256 in
       let collect () =
-        Array.iter
-          (fun name ->
-            if Filename.check_suffix name ".json" && not (Hashtbl.mem seen name)
-            then
-              Hashtbl.add seen name
-                (Digest.to_hex (Digest.file (Filename.concat ckdir name))))
-          (Sys.readdir ckdir)
+        List.iter
+          (fun (seq, bytes) ->
+            let name = Printf.sprintf "ckpt-%06d.json" seq in
+            if not (Hashtbl.mem seen name) then
+              Hashtbl.add seen name (Digest.to_hex (Digest.string bytes)))
+          (R.records ckdir)
       in
       let config =
         {
@@ -402,6 +517,8 @@ let test_durable_bytes_golden () =
         (Digest.to_hex (Digest.string listing));
       Alcotest.(check string) "journal digest" durable_journal_digest
         (Digest.to_hex (Digest.file journal_path));
+      let _, _, renames = Rwc_storm.counts () in
+      Alcotest.(check int) "renames = boundary saves (one policy)" 1 renames;
       Array.iter
         (fun n -> try Sys.remove (Filename.concat ckdir n) with Sys_error _ -> ())
         (Sys.readdir ckdir);
@@ -738,6 +855,8 @@ let suite =
     Alcotest.test_case "load_latest falls back" `Quick
       test_load_latest_falls_back;
     Alcotest.test_case "resume marks" `Quick test_resume_marks;
+    Alcotest.test_case "save syscall shape" `Quick test_save_boundary_shape;
+    QCheck_alcotest.to_alcotest prop_ring_damage;
     Alcotest.test_case "crash+resume golden (report & journal)" `Slow
       test_crash_resume_golden;
     Alcotest.test_case "interrupt then resume" `Slow test_interrupt_then_resume;

@@ -121,6 +121,36 @@ let test_kill_and_dead_mode () =
           S.reset ();
           Alcotest.(check bool) "reset leaves dead mode" false (S.dead ())))
 
+(* fsync failures count only on regular files; devices and pipes
+   reject fsync by design, and sinks such as /dev/null must work. *)
+let test_sync_strict_classification () =
+  with_storm (fun () ->
+      with_temp_dir (fun dir ->
+          let kind_of name fd =
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () -> (name, S.sync_strict fd))
+          in
+          let regular =
+            Unix.openfile (Filename.concat dir "f") [ Unix.O_WRONLY; Unix.O_CREAT ]
+              0o644
+          in
+          let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+          let r, w = Unix.pipe () in
+          let got =
+            [ kind_of "regular" regular; kind_of "/dev/null" null; kind_of "pipe" w ]
+          in
+          Unix.close r;
+          Alcotest.(check (list (pair string bool)))
+            "strict only for regular files"
+            [ ("regular", true); ("/dev/null", false); ("pipe", false) ]
+            got;
+          (* The best-effort path: syncing a device sink succeeds. *)
+          let w = S.Writer.create "/dev/null" in
+          S.Writer.write w "x";
+          S.Writer.close w;
+          S.write_file "/dev/null" "y"))
+
 let test_plan_of_string_rejects_non_io () =
   (match S.plan_of_string "io_short=0.5,io_bitflip=0.1,seed=3" with
   | Ok _ -> ()
@@ -453,6 +483,57 @@ let resume_attempt dir =
           | [ Runner.Replayed { pp; _ } ] -> Ok pp
           | _ -> Error "expected one outcome"))
 
+(* A kill in the middle of overwriting a ring slot that already held
+   an older record: the slot is torn (its header names the new seq, its
+   record fails the CRC), fsck clears it in one pass, and the resumed
+   run, falling back to the other slots, lands on the golden bytes.
+   Kill points are tried in order until the first such tear. *)
+let test_kill_mid_slot_overwrite () =
+  let _, _, _, golden_pp, golden_journal = Lazy.force damage_template in
+  with_storm (fun () ->
+      with_temp_dir (fun scratch ->
+          let torn ckdir =
+            List.exists
+              (fun (seq, bytes) ->
+                seq >= R.ring_slots
+                && Result.is_error (R.checkpoint_of_string bytes))
+              (R.records ckdir)
+          in
+          let rec first_tear k =
+            if k > 200 then Alcotest.fail "no kill tore an overwritten slot";
+            let dir = Filename.concat scratch (Printf.sprintf "k%d" k) in
+            Sys.mkdir dir 0o700;
+            S.reset ();
+            S.arm_kill k;
+            let killed =
+              match resume_attempt dir with
+              | exception S.Killed { kind = S.Write; _ } -> true
+              | exception S.Killed _ -> false
+              | Ok _ | Error _ -> false
+            in
+            S.reset ();
+            if killed && torn (Filename.concat dir "ck") then dir
+            else first_tear (k + 1)
+          in
+          let dir = first_tear 0 in
+          let ckdir = Filename.concat dir "ck" in
+          let jpath = Filename.concat dir "journal.jsonl" in
+          let findings () =
+            match F.scan ~journal:jpath ~checkpoints:ckdir () with
+            | Ok r -> List.map (fun f -> f.F.f_problem) r.F.findings
+            | Error e -> Alcotest.fail e
+          in
+          Alcotest.(check bool) "fsck repairs the torn slot" true
+            (List.mem "corrupt checkpoint slot" (findings ()));
+          Alcotest.(check (list string)) "second fsck pass is clean" []
+            (findings ());
+          match resume_attempt dir with
+          | Error e -> Alcotest.failf "resume: %s" e
+          | Ok pp ->
+              Alcotest.(check string) "report byte-identical" golden_pp pp;
+              Alcotest.(check string) "journal byte-identical" golden_journal
+                (slurp jpath)))
+
 let prop_recovers_from_arbitrary_damage =
   QCheck.Test.make
     ~name:"storm: truncate journal anywhere + flip any checkpoint bit, fsck, \
@@ -511,6 +592,8 @@ let suite =
       test_writer_open_failure_is_sys_error;
     Alcotest.test_case "boundary accounting" `Quick test_boundary_accounting;
     Alcotest.test_case "armed kill + dead mode" `Quick test_kill_and_dead_mode;
+    Alcotest.test_case "fsync strict only on regular files" `Quick
+      test_sync_strict_classification;
     Alcotest.test_case "storm plan rejects non-io" `Quick
       test_plan_of_string_rejects_non_io;
     Alcotest.test_case "fault application deterministic" `Quick
@@ -532,5 +615,7 @@ let suite =
     Alcotest.test_case "journal-aware checkpoint selection" `Quick
       test_load_resumable_respects_journal;
     Alcotest.test_case "torture (sampled)" `Slow test_torture_sampled;
+    Alcotest.test_case "kill mid slot overwrite resumes identically" `Slow
+      test_kill_mid_slot_overwrite;
     QCheck_alcotest.to_alcotest prop_recovers_from_arbitrary_damage;
   ]

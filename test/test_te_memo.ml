@@ -155,14 +155,12 @@ let recoverable_run ~config ~every ?stop_at policy =
       let slo = J.Slo.default in
       let seen = Hashtbl.create 64 in
       let collect () =
-        if Sys.file_exists ckdir then
-          Array.iter
-            (fun name ->
-              if Filename.check_suffix name ".json" && not (Hashtbl.mem seen name)
-              then
-                Hashtbl.add seen name
-                  (Digest.to_hex (Digest.file (Filename.concat ckdir name))))
-            (Sys.readdir ckdir)
+        List.iter
+          (fun (seq, bytes) ->
+            let name = Printf.sprintf "ckpt-%06d.json" seq in
+            if not (Hashtbl.mem seen name) then
+              Hashtbl.add seen name (Digest.to_hex (Digest.string bytes)))
+          (R.records ckdir)
       in
       let open_ctx ~resume =
         match
