@@ -177,7 +177,6 @@ module Writer = struct
       }
 
   let create path = make path Unix.[ O_WRONLY; O_CREAT; O_TRUNC ]
-  let overwrite path = make path Unix.[ O_WRONLY; O_CREAT ]
 
   let append path =
     let t = make path Unix.[ O_WRONLY; O_CREAT; O_APPEND ] in
@@ -301,7 +300,8 @@ let write_file path content = write_all (Writer.create path) content
 (* No O_TRUNC: bytes past [content] stay, and a file already at least
    this long keeps its size and blocks, so the fsync commits data
    only. *)
-let overwrite path content = write_all (Writer.overwrite path) content
+let overwrite path content =
+  write_all (Writer.make path Unix.[ O_WRONLY; O_CREAT ]) content
 
 let plan_of_string s =
   match Rwc_fault.of_string s with
