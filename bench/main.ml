@@ -35,36 +35,15 @@ let () =
   end;
   let full = flag "--full" in
   let micro = not (flag "--no-micro" || flag "--figures-only") in
-  let fleet =
-    if full then Fleet.default else Fleet.scaled Fleet.default ~factor:5
-  in
+  let fleet = Figs.Paper_figs.fleet ~full in
   Printf.printf
     "Run, Walk, Crawl — reproduction harness (%d links, %.1f years%s)\n"
     (Fleet.n_links fleet) fleet.Fleet.years
     (if full then "" else "; pass --full for the paper's 2000 links");
 
-  (* ---- measurement study (Figures 1-4) ---- *)
-  Figs.Measurement_figs.fig1 fleet;
-  let fleet_report = Rwc_telemetry.Analyze.fleet_report fleet in
-  let _fig2 = Figs.Measurement_figs.fig2 fleet_report in
-  Figs.Measurement_figs.fig3 fleet;
-  let _fig4 = Figs.Measurement_figs.fig4 fleet_report ~seed:41 in
-
-  (* ---- testbed study (Figures 5-6) ---- *)
-  Figs.Testbed_figs.fig5 ~seed:42;
-  let _fig6 = Figs.Testbed_figs.fig6 ~seed:43 in
-
-  (* ---- graph abstraction (Figures 7-8, Theorem 1) ---- *)
-  Figs.Abstraction_figs.fig7 ();
-  Figs.Abstraction_figs.fig8 ();
-  Figs.Abstraction_figs.theorem1 ~seed:44;
-
-  (* ---- end-to-end simulation ---- *)
-  let sim_config =
-    if full then Rwc_sim.Runner.default_config
-    else { Rwc_sim.Runner.default_config with Rwc_sim.Runner.days = 21.0 }
-  in
-  let _sim = Figs.Sim_figs.run ~config:sim_config () in
+  (* ---- Figures 1-8, Theorem 1 and the end-to-end simulation ---- *)
+  let sim_days = Figs.Paper_figs.default_sim_days ~full in
+  ignore (Figs.Paper_figs.run ~fleet ~sim_days () : Figs.Sim_figs.headlines option);
 
   (* ---- ablations of the design choices ---- *)
   if not (flag "--no-ablation") then Ablation.run ();

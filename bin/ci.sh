@@ -17,6 +17,29 @@ dune build @check
 echo "== dune build @all (warnings fatal in every lib/*) =="
 dune build @all
 
+echo "== reachability: every lib/ module is named outside the tests =="
+# A lib/ module that no .ml under lib/, bin/, bench/, benchmark/ or
+# examples/ names, apart from its own files, is code only its tests
+# run: delete it rather than keep it building.  Allowed: Push_relabel
+# and Cycle_cancel, the independent max-flow and min-cost solvers that
+# test_flow checks Maxflow and Mincost against (differential oracles).
+ORPHANS=""
+for ML in lib/*/*.ml; do
+  BASE="$(basename "$ML" .ml)"
+  MOD="$(printf '%s' "$BASE" | cut -c1 | tr a-z A-Z)$(printf '%s' "$BASE" | cut -c2-)"
+  case "$MOD" in
+    Push_relabel | Cycle_cancel) continue ;;
+  esac
+  if ! grep -rlw --include='*.ml' "$MOD" lib bin bench benchmark examples \
+    | grep -qvx "$ML"; then
+    ORPHANS="$ORPHANS $MOD"
+  fi
+done
+if [ -n "$ORPHANS" ]; then
+  echo "lib/ modules that only tests reach:$ORPHANS"
+  exit 1
+fi
+
 echo "== dune runtest =="
 dune runtest
 

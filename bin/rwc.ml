@@ -165,28 +165,22 @@ let ensure_dir what dir =
 
 (* ---- figures --------------------------------------------------------- *)
 
-let known_figures =
-  [ "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "thm1"; "sim" ]
-
 let run_figures () full only sim_days csv_dir =
   (* The csv directory is validated (and, when missing, created)
      before any expensive fleet work, so a typo cannot burn minutes of
      fleet analysis and then fail at the first write. *)
   (match csv_dir with Some dir -> ensure_dir "--csv" dir | None -> ());
   Rwc_figures.Report.set_csv_dir csv_dir;
-  let fleet =
-    if full then Rwc_telemetry.Fleet.default
-    else Rwc_telemetry.Fleet.(scaled default ~factor:5)
-  in
-  let wants id = match only with [] -> true | ids -> List.mem id ids in
-  let unknown = List.filter (fun id -> not (List.mem id known_figures)) only in
+  let fleet = Rwc_figures.Paper_figs.fleet ~full in
+  let known = Rwc_figures.Paper_figs.ids in
+  let unknown = List.filter (fun id -> not (List.mem id known)) only in
   if unknown <> [] then begin
     Printf.eprintf "unknown figure id(s): %s (known: %s)\n"
       (String.concat ", " unknown)
-      (String.concat ", " known_figures);
+      (String.concat ", " known);
     exit 2
   end;
-  if sim_days <> None && not (wants "sim") then
+  if sim_days <> None && only <> [] && not (List.mem "sim" only) then
     Printf.eprintf
       "warning: --sim-days has no effect without the sim figure (add --only \
        sim or drop --only)\n";
@@ -195,40 +189,9 @@ let run_figures () full only sim_days csv_dir =
   let sim_days =
     match sim_days with
     | Some d -> d
-    | None -> if full then Rwc_sim.Runner.default_config.Rwc_sim.Runner.days else 21.0
+    | None -> Rwc_figures.Paper_figs.default_sim_days ~full
   in
-  let needs_report = wants "fig2" || wants "fig4" in
-  let report =
-    if needs_report then Some (Rwc_telemetry.Analyze.fleet_report fleet)
-    else None
-  in
-  if wants "fig1" then Rwc_figures.Measurement_figs.fig1 fleet;
-  (match report with
-  | Some r when wants "fig2" ->
-      ignore (Rwc_figures.Measurement_figs.fig2 r)
-  | _ -> ());
-  if wants "fig3" then Rwc_figures.Measurement_figs.fig3 fleet;
-  (match report with
-  | Some r when wants "fig4" ->
-      ignore (Rwc_figures.Measurement_figs.fig4 r ~seed:41)
-  | _ -> ());
-  if wants "fig5" then Rwc_figures.Testbed_figs.fig5 ~seed:42;
-  if wants "fig6" then ignore (Rwc_figures.Testbed_figs.fig6 ~seed:43);
-  if wants "fig7" then Rwc_figures.Abstraction_figs.fig7 ();
-  if wants "fig8" then Rwc_figures.Abstraction_figs.fig8 ();
-  if wants "thm1" then Rwc_figures.Abstraction_figs.theorem1 ~seed:44;
-  let sim_headlines =
-    if wants "sim" then
-      Some
-        (Rwc_figures.Sim_figs.run
-           ~config:
-             {
-               Rwc_sim.Runner.default_config with
-               Rwc_sim.Runner.days = sim_days;
-             }
-           ())
-    else None
-  in
+  let sim_headlines = Rwc_figures.Paper_figs.run ~only ~fleet ~sim_days () in
   match csv_dir with
   | None -> ()
   | Some dir ->

@@ -52,9 +52,3 @@ let drop_fake t ~phys =
       | Fake p -> fake_of_phys.(p) <- Some e.Graph.id)
     graph;
   { t with graph; fake_of_phys }
-
-let phys_of t id =
-  match (Graph.edge t.graph id).Graph.tag with Real p | Fake p -> p
-
-let is_fake t id =
-  match (Graph.edge t.graph id).Graph.tag with Real _ -> false | Fake _ -> true

@@ -45,7 +45,3 @@ val drop_fake :
     the TE controller reacts exactly as it would to a real edge
     removal.  Physical edges without a twin are ignored. *)
 
-val phys_of : 'a t -> Rwc_flow.Graph.edge_id -> Rwc_flow.Graph.edge_id
-(** Physical edge behind an augmented edge id. *)
-
-val is_fake : 'a t -> Rwc_flow.Graph.edge_id -> bool

@@ -70,15 +70,6 @@ let greedy_ksp ?(k = 4) g commodities =
     lambda_upper = infinity;
   }
 
-let single_mincost g ~src ~dst ~demand =
-  let r = Rwc_flow.Mincost.solve ~limit:demand g ~src ~dst in
-  {
-    flow = r.Rwc_flow.Mincost.flow;
-    routed = [| r.Rwc_flow.Mincost.value |];
-    total_gbps = r.Rwc_flow.Mincost.value;
-    lambda_upper = infinity;
-  }
-
 let utilization g result =
   Graph.fold_edges
     (fun acc e ->

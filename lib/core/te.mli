@@ -42,11 +42,6 @@ val greedy_ksp :
     greedily over its [k] (default 4) shortest paths against residual
     capacity.  Fast and suboptimal, like the real thing. *)
 
-val single_mincost :
-  'a Rwc_flow.Graph.t -> src:int -> dst:int -> demand:float -> result
-(** One-commodity min-cost routing of up to [demand]; this is the
-    solver Theorem 1 speaks about when run on the augmented graph. *)
-
 val utilization : 'a Rwc_flow.Graph.t -> result -> float
 (** Max link utilization (flow / capacity) over edges with positive
     capacity. *)

@@ -3,11 +3,6 @@ type path = Graph.edge_id list
 let path_cost g p =
   List.fold_left (fun acc e -> acc +. (Graph.edge g e).Graph.cost) 0.0 p
 
-let path_capacity g p =
-  List.fold_left
-    (fun acc e -> Float.min acc (Graph.edge g e).Graph.capacity)
-    infinity p
-
 (* Dijkstra over a reusable workspace.  The workspace holds a view of
    the graph: the out-edges that passed the [usable] filter when the
    view was taken, as flat arrays in {!Graph.out_csr} order, and the
@@ -234,12 +229,6 @@ module Workspace = struct
       done;
       true
     end
-
-  let path_length ws = ws.path_len
-
-  let path_edge ws i =
-    assert (i >= 0 && i < ws.path_len);
-    ws.path.(i)
 
   let path ws = Array.to_list (Array.sub ws.path 0 ws.path_len)
 end

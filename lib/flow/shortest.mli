@@ -8,9 +8,6 @@ type path = Graph.edge_id list
 (** A path as the list of edge ids traversed, in order. *)
 
 val path_cost : 'tag Graph.t -> path -> float
-val path_capacity : 'tag Graph.t -> path -> float
-(** Bottleneck (minimum) capacity along the path; [infinity] for the
-    empty path. *)
 
 val dijkstra :
   ?usable:(Graph.edge_id -> bool) ->
@@ -88,12 +85,6 @@ module Workspace : sig
       the one target [dst], and the path to it.  [false] when [dst] is
       unreachable.  On [true] the path is left in the workspace until
       the next run. *)
-
-  val path_length : t -> int
-  (** Edges on the last path found. *)
-
-  val path_edge : t -> int -> Graph.edge_id
-  (** [path_edge ws i] is the [i]-th edge from the source. *)
 
   val path : t -> path
   (** The last path found, as a list. *)

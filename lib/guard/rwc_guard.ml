@@ -267,12 +267,6 @@ type intent = Up_shift | Down_shift | Dark | Recover
 
 type reason = Quarantined | Admission | Stale | Global_hold
 
-let reason_name = function
-  | Quarantined -> "quarantined"
-  | Admission -> "admission"
-  | Stale -> "stale"
-  | Global_hold -> "global-hold"
-
 type verdict = Allow | Suppress of reason
 
 let group_tokens_left t cfg ~link =

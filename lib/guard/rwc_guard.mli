@@ -125,8 +125,6 @@ type reason =
   | Stale  (** Last telemetry for the link was not fresh. *)
   | Global_hold  (** Oscillation watchdog hold in effect. *)
 
-val reason_name : reason -> string
-
 type verdict = Allow | Suppress of reason
 
 val screen : t -> link:int -> now:float -> intent -> verdict

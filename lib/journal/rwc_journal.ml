@@ -882,8 +882,6 @@ let set_tee t f =
     invalid_arg "Rwc_journal.set_tee: cannot tee a disarmed sink";
   t.tee <- Some f
 
-let clear_tee t = if t.sink_armed then t.tee <- None
-
 let adopt_tee t ~from = if t.sink_armed then t.tee <- from.tee
 
 let online_slo t ~at =

@@ -297,8 +297,6 @@ val set_tee : t -> (seq:int -> offset:int -> record -> unit) -> unit
     a second call replaces the first.  Raises [Invalid_argument] on a
     {!disarmed} sink (its emitters never run). *)
 
-val clear_tee : t -> unit
-
 val adopt_tee : t -> from:t -> unit
 (** Carry [from]'s tee (if any) over to [t] — used when a crash-restart
     replaces the sink via {!resume} so an attached stream survives the

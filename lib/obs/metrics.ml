@@ -151,8 +151,6 @@ let timed f =
 (* ---- reading ----------------------------------------------------------- *)
 
 let value c = c.c
-let fvalue f = f.f
-let gvalue g = g.g
 let hcount h = h.h_count
 let hsum h = h.h_sum
 

@@ -72,8 +72,6 @@ val timed : (unit -> 'a) -> 'a * float
 (** {1 Reading} *)
 
 val value : counter -> int
-val fvalue : fcounter -> float
-val gvalue : gauge -> int
 val hcount : histogram -> int
 val hsum : histogram -> float
 

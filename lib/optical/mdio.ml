@@ -54,7 +54,6 @@ let set_laser t on =
   poke_status t (fun s -> if on then s lor 1 else s land lnot 1)
 
 let staged_modulation t = Hashtbl.find t.regs reg_modulation
-let commit_pending t = Hashtbl.find t.regs reg_commit land 1 = 1
 let clear_commit t = Hashtbl.replace t.regs reg_commit 0
 let set_locked t v = poke_status t (fun s -> if v then s lor 2 else s land lnot 2)
 let locked t = Hashtbl.find t.regs reg_status land 2 = 2

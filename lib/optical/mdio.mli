@@ -42,7 +42,6 @@ val access_log : t -> (string * int * int) list
 val laser_enabled : t -> bool
 val set_laser : t -> bool -> unit
 val staged_modulation : t -> int
-val commit_pending : t -> bool
 val clear_commit : t -> unit
 val set_locked : t -> bool -> unit
 val locked : t -> bool

@@ -8,5 +8,3 @@ let dbm_of_mw mw = db_of_linear mw
 let mw_of_dbm dbm = linear_of_db dbm
 
 let add_powers_dbm a b = dbm_of_mw (mw_of_dbm a +. mw_of_dbm b)
-
-let snr_after_noise ~signal_db ~noise_db = signal_db -. noise_db

@@ -18,7 +18,3 @@ val mw_of_dbm : float -> float
 val add_powers_dbm : float -> float -> float
 (** Sum of two powers expressed in dBm (converts to mW, adds, converts
     back) — used when accumulating amplifier noise along a fiber. *)
-
-val snr_after_noise : signal_db:float -> noise_db:float -> float
-(** SNR in dB of a signal with the given signal and total-noise powers
-    (both in the same dB reference). *)

@@ -67,7 +67,6 @@ module Engine = struct
   let hub t = t.hub
   let index t = t.index
   let want_shutdown t = t.want_shutdown
-  let request_shutdown t = t.want_shutdown <- true
   let set_pump t f = t.pump <- f
 
   let set_stop t ~external_stop ~on_stop =

@@ -71,7 +71,6 @@ module Engine : sig
       daemon is idle. *)
 
   val want_shutdown : t -> bool
-  val request_shutdown : t -> unit
 
   val set_pump : t -> (unit -> unit) -> unit
   (** The transport pump the sweep hook invokes; a no-op by default so

@@ -101,7 +101,6 @@ let drain s =
 let pending s = Queue.length s.queue
 let dropped s = s.sub_dropped
 let subscriber_id s = s.sub_id
-let subscriber_topics s = s.topics
 let subscribers h = List.length h.subs
 let published h = h.n_published
 let total_dropped h = h.n_dropped

@@ -49,7 +49,6 @@ val drain : subscriber -> Rwc_obs.Json.t list
 val pending : subscriber -> int
 val dropped : subscriber -> int
 val subscriber_id : subscriber -> int
-val subscriber_topics : subscriber -> topic list
 val subscribers : hub -> int
 val published : hub -> int
 (** Events offered to the hub so far (counted once per {!publish},

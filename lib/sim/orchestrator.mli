@@ -11,8 +11,8 @@
     one link at a time (operators serialize risky changes), drawing
     each reconfiguration's duration from the BVT latency model and
     accounting the traffic lost on links that could not be fully
-    drained.  It is the glue between {!Rwc_core.Consistent_update},
-    {!Rwc_core.Scheduler} and {!Rwc_optical.Bvt}.
+    drained.  It is the glue between {!Rwc_core.Consistent_update}
+    and {!Rwc_optical.Bvt}.
 
     Reconfigurations can fail.  With an armed {!Rwc_fault} injector, a
     change may fail at commit ([Bvt_reconfig]) or time out

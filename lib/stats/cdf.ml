@@ -7,8 +7,6 @@ let of_samples xs =
   { sorted }
 
 let count t = Array.length t.sorted
-let min_value t = t.sorted.(0)
-let max_value t = t.sorted.(Array.length t.sorted - 1)
 
 (* Number of elements <= x, by binary search for the upper bound. *)
 let rank t x =
@@ -42,8 +40,3 @@ let points t ?(max_points = 100) () =
       collect (i + step) ((t.sorted.(i), p) :: acc)
   in
   collect 0 []
-
-let pp_rows ?max_points fmt t =
-  List.iter
-    (fun (v, p) -> Format.fprintf fmt "%12.4f  %6.4f@." v p)
-    (points t ?max_points ())

@@ -21,13 +21,7 @@ val quantile : t -> float -> float
 val count : t -> int
 (** Number of underlying samples. *)
 
-val min_value : t -> float
-val max_value : t -> float
-
 val points : t -> ?max_points:int -> unit -> (float * float) list
 (** [points t ()] renders the CDF as an increasing list of
     (value, probability) pairs, down-sampled to at most [max_points]
     (default 100) for printing. *)
-
-val pp_rows : ?max_points:int -> Format.formatter -> t -> unit
-(** Print as aligned "value  probability" rows. *)

@@ -9,7 +9,6 @@ let mix64 z =
 
 let create seed = { state = mix64 (Int64.of_int seed) }
 let raw_state t = t.state
-let of_raw_state state = { state }
 let set_raw_state t state = t.state <- state
 
 let bits64 t =

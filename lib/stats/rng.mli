@@ -15,11 +15,8 @@ val create : int -> t
     streams. *)
 
 val raw_state : t -> int64
-(** Current internal 64-bit state, for checkpointing.  A generator rebuilt
-    with [of_raw_state (raw_state t)] continues [t]'s stream exactly. *)
-
-val of_raw_state : int64 -> t
-(** Rebuild a generator from a state captured by {!raw_state}. *)
+(** Current internal 64-bit state, for checkpointing.  A generator
+    given it back with {!set_raw_state} continues [t]'s stream exactly. *)
 
 val set_raw_state : t -> int64 -> unit
 (** Overwrite a generator's state in place (restore after a crash). *)

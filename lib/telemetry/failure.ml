@@ -3,8 +3,6 @@ type episode = { start : int; samples : int; min_snr_db : float }
 let duration_hours e =
   float_of_int e.samples *. Snr_model.sample_interval_s /. 3600.0
 
-let loss_of_light_db = 0.01
-
 let episodes trace ~threshold_db =
   let n = Array.length trace in
   let out = ref [] in

@@ -27,9 +27,5 @@ val count_at_capacity : float array -> gbps:int -> int
 val durations_at_capacity : float array -> gbps:int -> float list
 (** Episode durations (hours) at the given static capacity. *)
 
-val loss_of_light_db : float
-(** Samples at or below this SNR (0.01 dB) are treated as loss of
-    light: no usable signal at any capacity. *)
-
 val min_snrs : float array -> threshold_db:float -> float list
 (** Minimum SNR of each failure episode — the Figure 4c population. *)

@@ -548,11 +548,6 @@ let test_te_oblivious_to_augmentation () =
   Alcotest.(check bool) "plain capped at 100" true (plain.Te.total_gbps <= 100.0 +. 1e-6);
   Alcotest.(check bool) "augmented exceeds 150" true (augmented.Te.total_gbps > 150.0)
 
-let test_te_single_mincost () =
-  let g = te_square () in
-  let r = Te.single_mincost g ~src:0 ~dst:3 ~demand:50.0 in
-  Alcotest.(check (float 1e-6)) "exact demand" 50.0 r.Te.total_gbps
-
 (* --- consistent update ----------------------------------------------------------- *)
 
 let test_consistent_update_avoids_updating_links () =
@@ -646,7 +641,6 @@ let suite =
     Alcotest.test_case "te mcf feasible" `Quick test_te_mcf_routes_feasible;
     Alcotest.test_case "te greedy ksp" `Quick test_te_greedy_ksp;
     Alcotest.test_case "te oblivious to augmentation" `Quick test_te_oblivious_to_augmentation;
-    Alcotest.test_case "te single mincost" `Quick test_te_single_mincost;
     Alcotest.test_case "consistent update hitless" `Quick
       test_consistent_update_avoids_updating_links;
     Alcotest.test_case "consistent update non-hitless" `Quick
