@@ -20,9 +20,11 @@ dune build @all
 echo "== reachability: every lib/ module is named outside the tests =="
 # A lib/ module that no .ml under lib/, bin/, bench/, benchmark/ or
 # examples/ names, apart from its own files, is code only its tests
-# run: delete it rather than keep it building.  Allowed: Push_relabel
-# and Cycle_cancel, the independent max-flow and min-cost solvers that
-# test_flow checks Maxflow and Mincost against (differential oracles).
+# run: delete it rather than keep it building.  An example counts as a
+# caller because the next step runs every example.  Allowed:
+# Push_relabel and Cycle_cancel, the independent max-flow and min-cost
+# solvers that test_flow checks Maxflow and Mincost against
+# (differential oracles).
 ORPHANS=""
 for ML in lib/*/*.ml; do
   BASE="$(basename "$ML" .ml)"
@@ -39,6 +41,28 @@ if [ -n "$ORPHANS" ]; then
   echo "lib/ modules that only tests reach:$ORPHANS"
   exit 1
 fi
+
+echo "== examples: every examples/*.ml runs and prints its expected line =="
+# Example output is deterministic: each must exit 0 and print the line
+# listed here.  An example with no line listed fails the step.
+EXAMPLE_OUT="$(mktemp)"
+for ML in examples/*.ml; do
+  NAME="$(basename "$ML" .ml)"
+  case "$NAME" in
+    quickstart) EXPECT='max-flow after applying upgrades: 250 Gbps' ;;
+    failure_replay) EXPECT='95% of events are not fiber cuts' ;;
+    capacity_planning) EXPECT='upgrade plan (12 links' ;;
+    backbone_throughput) EXPECT='adaptive capacity delivered 99% more traffic' ;;
+    *) echo "$ML: no expected output line in bin/ci.sh"; exit 1 ;;
+  esac
+  dune exec "examples/$NAME.exe" > "$EXAMPLE_OUT"
+  if ! grep -qF "$EXPECT" "$EXAMPLE_OUT"; then
+    echo "$ML: output lacks '$EXPECT'"
+    exit 1
+  fi
+  echo "$NAME: ok"
+done
+rm -f "$EXAMPLE_OUT"
 
 echo "== dune runtest =="
 dune runtest

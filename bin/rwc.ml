@@ -2621,14 +2621,19 @@ let run_watch () socket_path raw from topics max_queue max_events rpc_meth
         end
       in
       (* A dropped stream (daemon restart, upgrade, transient socket
-         error) is survivable: retry the connect on the orchestrator's
-         capped exponential backoff schedule before giving up. *)
-      let rp = Rwc_sim.Orchestrator.default_reconnect_policy in
+         error) is survivable: retry the connect on a capped
+         exponential backoff before giving up — 8 attempts, 0.25 s
+         base, doubling, capped at 5 s.  Patient where the BVT retry
+         schedule is aggressive: a daemon restart takes seconds, and a
+         watcher that hammers the socket buys nothing. *)
+      let rp =
+        { Rwc_fault.max_attempts = 8; base_s = 0.25; factor = 2.0; cap_s = 5.0 }
+      in
       let reconnect () =
         let rec go attempt =
-          if attempt > rp.Rwc_sim.Orchestrator.max_attempts then None
+          if attempt > rp.Rwc_fault.max_attempts then None
           else begin
-            let delay = Rwc_sim.Orchestrator.backoff_delay rp ~attempt in
+            let delay = Rwc_fault.backoff_delay rp ~attempt in
             (try Unix.sleepf delay with Unix.Unix_error _ -> ());
             match C.connect socket_path with
             | c -> Some c
@@ -2650,7 +2655,7 @@ let run_watch () socket_path raw from topics max_queue max_events rpc_meth
                   if not raw then redraw ~force:true ();
                   Printf.eprintf
                     "rwc watch: %s: gave up after %d reconnect attempts\n"
-                    socket_path rp.Rwc_sim.Orchestrator.max_attempts;
+                    socket_path rp.Rwc_fault.max_attempts;
                   None
               | Some client -> (
                   Printf.eprintf "rwc watch: %s: reconnected\n%!" socket_path;

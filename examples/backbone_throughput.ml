@@ -6,8 +6,7 @@
    with both BVT reconfiguration procedures.
 
    Run with:  dune exec examples/backbone_throughput.exe
-   (takes roughly a minute: every topology change triggers a TE
-   recomputation, as in a production controller) *)
+   (well under a second) *)
 
 let () =
   let config =

@@ -3,9 +3,7 @@
    Derives each duct's upgrade headroom from its physical route length
    (long routes have less SNR margin), augments the backbone, asks the
    TE layer where extra traffic between the largest metro pairs should
-   go, and prints the upgrade plan together with a two-stage
-   consistent-update schedule that avoids routing over links while
-   their transceivers are being reprogrammed.
+   go, and prints the upgrade plan (Algorithm 1 on the backbone).
 
    Run with:  dune exec examples/capacity_planning.exe *)
 
@@ -79,19 +77,5 @@ let () =
           bb.Backbone.cities.(duct.Backbone.a).Backbone.name
           bb.Backbone.cities.(duct.Backbone.b).Backbone.name
           d.Rwc_core.Translate.extra_gbps duct.Backbone.route_km)
-      decisions;
-
-    (* Two-stage consistent update: route around the links while their
-       BVTs are reprogrammed. *)
-    let plan =
-      Rwc_core.Consistent_update.plan ~epsilon:0.15 g ~upgrades:decisions
-        commodities
-    in
-    Printf.printf
-      "\nconsistent update: transitional routing carries %.0f Gbps (%s), final %.0f Gbps\n"
-      plan.Rwc_core.Consistent_update.transitional.Rwc_core.Te.total_gbps
-      (if plan.Rwc_core.Consistent_update.fully_served_during_update then
-         "hitless"
-       else "NOT hitless - schedule in a low-traffic window")
-      plan.Rwc_core.Consistent_update.final.Rwc_core.Te.total_gbps
+      decisions
   end

@@ -89,7 +89,7 @@ val step :
 val force : state -> gbps:int -> unit
 (** Overwrite the controller's view of the configured capacity (0 or a
     denomination) and reset the qualification streak.  Used when the
-    orchestration layer falls back after exhausted reconfiguration
+    simulation runner falls back after exhausted reconfiguration
     retries and the device is known to be at a different rate than the
     controller last commanded. *)
 

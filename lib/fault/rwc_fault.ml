@@ -342,3 +342,14 @@ let snapshot_to_list snap = (snap.snap_total, Array.to_list snap.snap_slots)
 
 let snapshot_of_list (snap_total, slots) =
   { snap_total; snap_slots = Array.of_list slots }
+
+type retry_policy = {
+  max_attempts : int;
+  base_s : float;
+  factor : float;
+  cap_s : float;
+}
+
+let backoff_delay p ~attempt =
+  if attempt < 1 then invalid_arg "Rwc_fault.backoff_delay: attempt < 1";
+  Float.min p.cap_s (p.base_s *. (p.factor ** float_of_int (attempt - 1)))

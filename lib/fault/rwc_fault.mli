@@ -16,8 +16,9 @@
     independent substream per component.  The pipeline threads the
     injector through its hook points ({!Rwc_optical.Bvt},
     {!Rwc_telemetry.Collector}, {!Rwc_core.Adapt}, the simulation
-    runner and orchestrator), each of which asks {!fires} at its
-    injection opportunity.
+    runner), each of which asks {!fires} at its injection
+    opportunity.  A failed BVT reconfiguration is retried on a
+    {!retry_policy}.
 
     Two properties the rest of the system relies on:
 
@@ -174,3 +175,21 @@ val snapshot_to_list : snapshot -> int * (int64 * int) option list
 
 val snapshot_of_list : int * (int64 * int) option list -> snapshot
 (** Inverse of {!snapshot_to_list}. *)
+
+(** {1 Retrying a failed operation} *)
+
+type retry_policy = {
+  max_attempts : int;  (** Total attempts, >= 1. *)
+  base_s : float;  (** Backoff after the first failure. *)
+  factor : float;  (** Multiplier per subsequent failure. *)
+  cap_s : float;  (** Upper bound on any single backoff delay. *)
+}
+(** Capped exponential backoff: the schedule the runner retries a
+    failed BVT reconfiguration on, and [rwc watch] reconnects to a
+    dropped daemon socket on. *)
+
+val backoff_delay : retry_policy -> attempt:int -> float
+(** Delay before the attempt following failure number [attempt]
+    (1-based): [min cap_s (base_s *. factor ^ (attempt - 1))].
+    Monotone non-decreasing in [attempt] for [factor >= 1].  Raises
+    [Invalid_argument] when [attempt < 1]. *)

@@ -28,13 +28,10 @@ val make :
   command:string ->
   unit ->
   t
-(** [version] defaults to {!version_string} [()]; [argv] defaults to
-    [Sys.argv]; [metrics] defaults to [Json.Null]. *)
-
-val version_string : unit -> string
-(** [$RWC_VERSION] if set, else ["rwc-" ^ git describe --always
-    --dirty] when inside a git checkout, else ["rwc-dev"].  Never
-    raises. *)
+(** [version] defaults to [$RWC_VERSION] if set, else ["rwc-" ^ git
+    describe --always --dirty] when inside a git checkout, else
+    ["rwc-dev"]; [argv] defaults to [Sys.argv]; [metrics] defaults to
+    [Json.Null]. *)
 
 val to_json : t -> Json.t
 

@@ -25,8 +25,6 @@ type line = {
   launch_power_dbm : float;  (** Per-channel launch power, typically ~0. *)
 }
 
-val span_loss_db : span -> float
-
 val default_span : float -> span
 (** [default_span km] with typical attenuation (0.22 dB/km) and noise
     figure (5.0 dB). *)

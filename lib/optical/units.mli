@@ -10,11 +10,6 @@ val db_of_linear : float -> float
 val linear_of_db : float -> float
 (** [10 ** (x / 10)]. *)
 
-val dbm_of_mw : float -> float
-(** Power: dBm from milliwatts; requires positive input. *)
-
-val mw_of_dbm : float -> float
-
 val add_powers_dbm : float -> float -> float
 (** Sum of two powers expressed in dBm (converts to mW, adds, converts
     back) — used when accumulating amplifier noise along a fiber. *)

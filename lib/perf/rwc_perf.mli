@@ -43,7 +43,7 @@ type phase =
   | Adapt_step  (** Per-sweep run/walk/crawl adaptation pass. *)
   | Te_solve  (** Multicommodity TE solve ([Te.mcf]). *)
   | Mincost  (** Min-cost max-flow ([Mincost.solve]). *)
-  | Des_drain  (** Discrete-event loop ([Des.run]/[Des.drain]). *)
+  | Des_drain  (** Discrete-event loop ([Des.run]). *)
   | Journal_emit  (** One decision-journal record write. *)
   | Checkpoint_write  (** Checkpoint serialization + atomic rename. *)
   | Checkpoint_restore  (** Checkpoint scan + load. *)

@@ -149,8 +149,9 @@ val create :
   unit ->
   (ctx * checkpoint option, string) result
 (** Open (creating the directory if needed) a recovery context.
-    Orphaned [*.tmp] files in the directory are swept on open (see
-    {!clean_orphan_tmps}).  With [resume:true] the newest usable
+    Orphaned [*.tmp] files in the directory ({!orphan_tmps}) are
+    removed on open, each counted in the [recover/orphan_tmps_cleaned]
+    metric.  With [resume:true] the newest usable
     checkpoint is returned for the caller to restart from — usable
     meaning it passes CRC/version validation {e and}, when
     [journal_path] is given, its journal high-water mark does not
@@ -268,8 +269,3 @@ val orphan_tmps : string -> string list
     crash between a checkpoint's temp write and its rename, or of a
     lost rename under [io_torn_rename].  [] if the directory is
     unreadable. *)
-
-val clean_orphan_tmps : string -> string list
-(** Remove and return them, counting each in the
-    [recover/orphan_tmps_cleaned] metric.  Also performed by {!create}
-    on directory open. *)

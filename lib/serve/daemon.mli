@@ -70,17 +70,6 @@ module Engine : sig
       file-based fallbacks and a final lifecycle event announces the
       daemon is idle. *)
 
-  val want_shutdown : t -> bool
-
-  val set_pump : t -> (unit -> unit) -> unit
-  (** The transport pump the sweep hook invokes; a no-op by default so
-      an engine without a shell (tests) still runs. *)
-
-  val set_stop : t -> external_stop:(unit -> bool) -> on_stop:(unit -> unit) -> unit
-  (** [external_stop] is polled each sweep (the SIGTERM flag);
-      [on_stop] performs the unwind — {!Rwc_recover.request_stop} on a
-      checkpointed run, raising {!Shutdown} otherwise. *)
-
   val dispatch :
     t ->
     ?on_subscribe:(Stream.subscriber -> unit) ->

@@ -8,14 +8,6 @@
 
 module Json = Rwc_obs.Json
 
-type request = {
-  id : Json.t option;
-      (** [None] = notification (no response expected).  When present,
-          an [Int], [String] or [Null] per the spec. *)
-  meth : string;
-  params : Json.t option;  (** An [Assoc] or [List] when present. *)
-}
-
 type error_code =
   | Parse_error  (** -32700: the payload is not valid JSON. *)
   | Invalid_request  (** -32600: valid JSON, not a valid request. *)
@@ -24,12 +16,6 @@ type error_code =
   | Internal_error  (** -32603 *)
 
 val code : error_code -> int
-
-val request_of_json : Json.t -> (request, error_code * string) result
-(** Validate a parsed payload as a JSON-RPC 2.0 request: [jsonrpc]
-    must be the string ["2.0"], [method] a string, [params] (if
-    present) an object or array, [id] (if present) a number, string
-    or null. *)
 
 val response : id:Json.t -> Json.t -> Json.t
 
@@ -49,7 +35,9 @@ type handler = Json.t option -> (Json.t, error_code * string) result
 
 val dispatch : (string * handler) list -> string -> Json.t option
 (** Run one raw (unframed) payload through parse → validate → method
-    lookup → handler, returning the response to send — [None] when
+    lookup → handler.  A valid request has [jsonrpc] the string
+    ["2.0"], [method] a string, [params] (if present) an object or
+    array and [id] (if present) a number, string or null.  Returns the response to send — [None] when
     the request was a notification that succeeded or named an unknown
     method (the spec forbids replying to notifications).  A handler
     raising [Invalid_argument] maps to [Invalid_params], [Failure] to

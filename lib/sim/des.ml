@@ -38,19 +38,6 @@ let run t ~until =
       done;
       t.clock <- until)
 
-let drain t =
-  Rwc_perf.record Rwc_perf.Des_drain (fun () ->
-      let continue = ref true in
-      while !continue do
-        match Event_queue.pop t.queue with
-        | Some (time, handler) ->
-            t.clock <- time;
-            t.dispatched <- t.dispatched + 1;
-            Rwc_obs.Metrics.incr m_dispatched;
-            handler t
-        | None -> continue := false
-      done)
-
 let pending t = Event_queue.size t.queue
 
 let dispatched t = t.dispatched

@@ -23,12 +23,6 @@ val run : t -> until:float -> unit
     [now t = until].  Events scheduled beyond the horizon remain
     pending. *)
 
-val drain : t -> unit
-(** Run to quiescence: execute every pending event (including ones
-    scheduled by handlers) until the queue is empty; afterwards
-    [now t] is the time of the last event executed.  The caller is
-    responsible for the event graph terminating. *)
-
 val pending : t -> int
 
 val dispatched : t -> int

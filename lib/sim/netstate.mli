@@ -36,9 +36,6 @@ val make :
 val capacity_gbps : duct_state -> float
 (** Usable IP capacity right now (0 when down). *)
 
-val feasible_per_lambda : duct_state -> int
-(** Highest denomination the duct's current SNR supports. *)
-
 val graph : t -> int Rwc_flow.Graph.t
 (** Current-capacity directed graph (edge tag = duct index), two
     directed edges per duct. *)

@@ -78,7 +78,6 @@ type config = {
   top_demands : int;
   epsilon : float;
   faults : Rwc_fault.plan;
-  retry : Orchestrator.retry_policy;
   guard : Rwc_guard.plan;
   rollout : Rwc_rollout.plan;
   journal : Rwc_journal.t;
@@ -97,7 +96,6 @@ let default_config =
     top_demands = 40;
     epsilon = 0.12;
     faults = Rwc_fault.none;
-    retry = Orchestrator.default_retry_policy;
     guard = Rwc_guard.none;
     rollout = Rwc_rollout.none;
     journal = Rwc_journal.disarmed;
@@ -152,11 +150,10 @@ let m_flaps = Metrics.counter "sim/flaps"
 let m_reconfigs = Metrics.counter "sim/reconfigurations"
 let m_downtime = Metrics.fcounter "sim/reconfig_downtime_s"
 
-(* The in-run reconfiguration accounting is the runner playing
-   orchestrator: the traffic the last TE round routed over a duct is
-   disrupted for the duration of the capacity change.  The standalone
-   {!Orchestrator} feeds the same metrics, retry and fallback counters
-   included. *)
+(* The traffic the last TE round routed over a duct is disrupted for
+   the duration of its capacity change.  These three keep their
+   historic [orchestrator/] names: the chaos test and [--metrics]
+   readers look them up by name. *)
 let m_disrupted = Metrics.fcounter "orchestrator/disrupted_gbit"
 let m_retries = Metrics.counter "orchestrator/retries"
 let m_fallbacks = Metrics.counter "orchestrator/fallbacks"
@@ -199,6 +196,11 @@ let journal_verdict_of = function
   | Rwc_guard.Suppress Rwc_guard.Global_hold -> Rwc_journal.Held
 
 let sample_s = Snr_model.sample_interval_s
+
+(* Backoff for a failed BVT reconfiguration: 4 attempts, 5 s base,
+   doubling, capped at 60 s; the last failure falls back. *)
+let retry =
+  { Rwc_fault.max_attempts = 4; base_s = 5.0; factor = 2.0; cap_s = 60.0 }
 
 (* Event-driven TE with time-integral accounting: the current routed
    total earns credit until the next recomputation, and any topology
@@ -467,11 +469,11 @@ and finish_attempt run (p : Rwc_recover.pending) =
     Rwc_journal.fault jnl ~link:i ~now
       (if timed_out then Rwc_journal.Timed_out else Rwc_journal.Failed)
       ~attempt:n;
-    if n < run.config.retry.Orchestrator.max_attempts then begin
+    if n < retry.Rwc_fault.max_attempts then begin
       run.retries <- run.retries + 1;
       Metrics.incr m_retries;
       Rwc_journal.fault jnl ~link:i ~now Rwc_journal.Retried ~attempt:n;
-      let delay = Orchestrator.backoff_delay run.config.retry ~attempt:n in
+      let delay = Rwc_fault.backoff_delay retry ~attempt:n in
       charge_duct run d delay;
       arm run
         { p with Rwc_recover.p_kind = Rwc_recover.Begin_attempt; p_attempt = n + 1;

@@ -107,9 +107,9 @@ type config = {
       (** Fault plan compiled into an injector for the run.  With
           {!Rwc_fault.none} (the default) no injector randomness is
           consumed and the run is bit-identical to a build without the
-          fault layer. *)
-  retry : Orchestrator.retry_policy;
-      (** Backoff schedule for failed BVT reconfigurations. *)
+          fault layer.  A failed BVT reconfiguration is retried with
+          capped exponential backoff — 4 attempts, 5 s base, doubling,
+          capped at 60 s — then falls back to its pre-upgrade rate. *)
   guard : Rwc_guard.plan;
       (** Safety-layer plan screening the adaptive controller's
           decisions (flap damping, shared-risk admission, stale-data
@@ -155,9 +155,8 @@ type config = {
 
 val default_config : config
 (** 60 days, 6-hourly TE, seed 7, 4 wavelengths/duct, offered load
-    0.75, top 40 demands, epsilon 0.12, no faults,
-    {!Orchestrator.default_retry_policy}, no guard, no rollout,
-    disarmed journal, 1 domain, no hooks. *)
+    0.75, top 40 demands, epsilon 0.12, no faults, no guard, no
+    rollout, disarmed journal, 1 domain, no hooks. *)
 
 type fault_stats = {
   injected : int;  (** Total faults the injector fired. *)

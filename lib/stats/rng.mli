@@ -30,9 +30,6 @@ val substream : t -> int -> t
     advancing [t].  Used to give entity [i] of a population its own
     reproducible stream. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** Uniform in [0, 1). *)
 

@@ -20,10 +20,6 @@ val percentile : float array -> float -> float
     need not be sorted; it is not modified.  Requires a non-empty
     array. *)
 
-val percentile_sorted : float array -> float -> float
-(** Like {!percentile} but assumes the array is already sorted
-    ascending, avoiding the copy. *)
-
 val median : float array -> float
 
 val pp : Format.formatter -> t -> unit

@@ -20,9 +20,6 @@ val ar1_generate : Rng.t -> ar1 -> n:int -> float array
 (** [ar1_generate rng p ~n] draws [n] steps starting from the stationary
     distribution. *)
 
-val ar1_step : Rng.t -> ar1 -> float -> float
-(** One transition from the given current value. *)
-
 val downsample : float array -> every:int -> float array
 (** Keep every [every]-th element (first always kept); [every >= 1]. *)
 

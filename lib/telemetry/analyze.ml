@@ -35,8 +35,6 @@ let link_report_of_trace link trace =
     min_snr_at_100g_failures;
   }
 
-let link_report fleet link = link_report_of_trace link (Fleet.trace fleet link)
-
 (* One hour at the paper's 15-minute polling cadence: longer gaps are
    too much invented signal for failure/HDR statistics. *)
 let default_max_fill = 4

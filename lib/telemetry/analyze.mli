@@ -24,13 +24,6 @@ type link_report = {
           threshold. *)
 }
 
-val link_report : Fleet.t -> Fleet.link -> link_report
-(** Analyze one link (generates its trace internally). *)
-
-val link_report_of_trace : Fleet.link -> float array -> link_report
-(** Analyze a pre-generated trace (used when the caller already has
-    it, e.g. the figure-1 rendering). *)
-
 val link_report_of_samples :
   ?max_fill:int ->
   Fleet.link ->

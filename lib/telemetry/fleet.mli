@@ -55,8 +55,6 @@ val trace : t -> link -> float array
 (** This link's full SNR trace (deterministic: depends only on the
     fleet seed and the link's identity). *)
 
-val trace_with_dips : t -> link -> float array * Snr_model.dip list
-
 val iter_traces : t -> (link -> float array -> unit) -> unit
 (** Stream every link's trace through [f], generating and discarding
     one at a time. *)

@@ -548,41 +548,6 @@ let test_te_oblivious_to_augmentation () =
   Alcotest.(check bool) "plain capped at 100" true (plain.Te.total_gbps <= 100.0 +. 1e-6);
   Alcotest.(check bool) "augmented exceeds 150" true (augmented.Te.total_gbps > 150.0)
 
-(* --- consistent update ----------------------------------------------------------- *)
-
-let test_consistent_update_avoids_updating_links () =
-  let g = te_square () in
-  (* Upgrade the 0->1 edge (id 0). *)
-  let upgrades =
-    [ { Translate.phys_edge = 0; extra_gbps = 100.0; penalty_paid = 0.0 } ]
-  in
-  let commodities =
-    [| { Rwc_flow.Multicommodity.src = 0; dst = 3; demand = 80.0 } |]
-  in
-  let plan = Consistent_update.plan ~epsilon:0.05 g ~upgrades commodities in
-  Alcotest.(check (list int)) "updating set" [ 0 ] plan.Consistent_update.updating;
-  Alcotest.(check int) "transitional graph lost one edge" 7
-    (Graph.n_edges plan.Consistent_update.transitional_graph);
-  (* The demand fits on the untouched path, so the update is hitless. *)
-  Alcotest.(check bool) "hitless" true plan.Consistent_update.fully_served_during_update;
-  (* Final topology has the upgraded capacity. *)
-  Alcotest.(check (float 1e-9)) "upgraded edge" 200.0
-    (Graph.edge plan.Consistent_update.final_graph 0).Graph.capacity
-
-let test_consistent_update_detects_non_hitless () =
-  (* Single-path topology: updating the only link cannot be hitless. *)
-  let g = Graph.create ~n:2 in
-  let _ = Graph.add_edge g ~src:0 ~dst:1 ~capacity:100.0 ~cost:0.0 () in
-  let upgrades =
-    [ { Translate.phys_edge = 0; extra_gbps = 100.0; penalty_paid = 0.0 } ]
-  in
-  let commodities =
-    [| { Rwc_flow.Multicommodity.src = 0; dst = 1; demand = 50.0 } |]
-  in
-  let plan = Consistent_update.plan ~epsilon:0.05 g ~upgrades commodities in
-  Alcotest.(check bool) "not hitless" false
-    plan.Consistent_update.fully_served_during_update
-
 (* --- penalty ----------------------------------------------------------------------- *)
 
 let test_penalty_variants () =
@@ -595,6 +560,32 @@ let test_penalty_variants () =
     (Penalty.evaluate
        (Penalty.Disruption_aware { traffic = [| 0.0; 0.0; 0.0; 42.0 |]; downtime_s = 68.0 })
        ~phys_edge_id:3)
+
+let test_class_weighted_penalty () =
+  let interactive = [| 10.0; 0.0 |] in
+  let bulk = [| 50.0; 20.0 |] in
+  let p = Penalty.Class_weighted [ (5.0, interactive); (1.0, bulk) ] in
+  (* Edge 0: 5*10 + 1*50 = 100; edge 1: 0 + 20. *)
+  Alcotest.(check (float 1e-9)) "edge 0" 100.0 (Penalty.evaluate p ~phys_edge_id:0);
+  Alcotest.(check (float 1e-9)) "edge 1" 20.0 (Penalty.evaluate p ~phys_edge_id:1)
+
+let test_class_weighted_steers_upgrades () =
+  (* Two identical upgradable links; one carries interactive traffic.
+     The optimizer must upgrade the other. *)
+  let g = Graph.create ~n:2 in
+  let hot = Graph.add_edge g ~src:0 ~dst:1 ~capacity:100.0 ~cost:0.0 () in
+  let cold = Graph.add_edge g ~src:0 ~dst:1 ~capacity:100.0 ~cost:0.0 () in
+  let interactive = Array.make 2 0.0 in
+  interactive.(hot) <- 40.0;
+  let bulk = Array.make 2 10.0 in
+  let penalty = Penalty.Class_weighted [ (10.0, interactive); (1.0, bulk) ] in
+  let aug = Augment.build ~headroom:(fun _ -> 100.0) ~penalty g in
+  let r = Rwc_flow.Mincost.solve ~limit:250.0 aug.Augment.graph ~src:0 ~dst:1 in
+  let ds = Translate.decisions aug ~flow:r.Rwc_flow.Mincost.flow in
+  Alcotest.(check (float 1e-6)) "all routed" 250.0 r.Rwc_flow.Mincost.value;
+  match ds with
+  | [ d ] -> Alcotest.(check int) "upgrades the cold link" cold d.Translate.phys_edge
+  | _ -> Alcotest.failf "expected exactly one upgrade, got %d" (List.length ds)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -641,10 +632,9 @@ let suite =
     Alcotest.test_case "te mcf feasible" `Quick test_te_mcf_routes_feasible;
     Alcotest.test_case "te greedy ksp" `Quick test_te_greedy_ksp;
     Alcotest.test_case "te oblivious to augmentation" `Quick test_te_oblivious_to_augmentation;
-    Alcotest.test_case "consistent update hitless" `Quick
-      test_consistent_update_avoids_updating_links;
-    Alcotest.test_case "consistent update non-hitless" `Quick
-      test_consistent_update_detects_non_hitless;
     Alcotest.test_case "penalty variants" `Quick test_penalty_variants;
+    Alcotest.test_case "class-weighted penalty" `Quick test_class_weighted_penalty;
+    Alcotest.test_case "class-weighted steers upgrades" `Quick
+      test_class_weighted_steers_upgrades;
   ]
   @ props

@@ -1,165 +1,5 @@
-(* Tests for the operational-infrastructure substrates: the upgrade
-   orchestrator, the WDM line system, trace persistence and the lossy
-   telemetry collector. *)
-
-module Ls = Rwc_optical.Line_system
-
-(* --- orchestrator ------------------------------------------------------ *)
-
-let upgrades =
-  [
-    { Rwc_core.Translate.phys_edge = 0; extra_gbps = 100.0; penalty_paid = 0.0 };
-    { Rwc_core.Translate.phys_edge = 3; extra_gbps = 50.0; penalty_paid = 0.0 };
-  ]
-
-let test_orchestrator_sequencing () =
-  let rng = Rwc_stats.Rng.create 1 in
-  let o =
-    Rwc_sim.Orchestrator.execute ~rng ~upgrades
-      ~residual_flow:(fun _ -> 0.0)
-      ~downtime_mean_s:68.0 ()
-  in
-  (* Each link contributes exactly three phases in order, links
-     strictly serialized. *)
-  let phases = List.map (fun e -> (e.Rwc_sim.Orchestrator.phys_edge, e.Rwc_sim.Orchestrator.phase)) o.Rwc_sim.Orchestrator.log in
-  Alcotest.(check bool) "exact phase sequence" true
-    (phases
-    = [
-        (0, Rwc_sim.Orchestrator.Drain_started);
-        (0, Rwc_sim.Orchestrator.Reconfigure_started);
-        (0, Rwc_sim.Orchestrator.Restored);
-        (3, Rwc_sim.Orchestrator.Drain_started);
-        (3, Rwc_sim.Orchestrator.Reconfigure_started);
-        (3, Rwc_sim.Orchestrator.Restored);
-      ]);
-  (* Timestamps are non-decreasing. *)
-  let times = List.map (fun e -> e.Rwc_sim.Orchestrator.time_s) o.Rwc_sim.Orchestrator.log in
-  let rec mono = function
-    | a :: (b :: _ as rest) ->
-        Alcotest.(check bool) "monotone clock" true (b >= a);
-        mono rest
-    | _ -> ()
-  in
-  mono times;
-  Alcotest.(check int) "reconfig count" 2 o.Rwc_sim.Orchestrator.reconfigurations;
-  Alcotest.(check bool) "duration covers both drains" true
-    (o.Rwc_sim.Orchestrator.total_duration_s >= 60.0)
-
-let test_orchestrator_drained_links_lose_nothing () =
-  let rng = Rwc_stats.Rng.create 2 in
-  let o =
-    Rwc_sim.Orchestrator.execute ~rng ~upgrades
-      ~residual_flow:(fun _ -> 0.0)
-      ~downtime_mean_s:68.0 ()
-  in
-  Alcotest.(check (float 1e-9)) "hitless when drained" 0.0
-    o.Rwc_sim.Orchestrator.disrupted_gbit
-
-let test_orchestrator_charges_residual_traffic () =
-  let rng = Rwc_stats.Rng.create 3 in
-  let o =
-    Rwc_sim.Orchestrator.execute ~rng ~upgrades
-      ~residual_flow:(fun e -> if e = 0 then 10.0 else 0.0)
-      ~downtime_mean_s:68.0 ()
-  in
-  (* Edge 0 keeps 10 Gbps during its ~68 s change: several hundred Gbit. *)
-  Alcotest.(check bool) "loss proportional to downtime" true
-    (o.Rwc_sim.Orchestrator.disrupted_gbit > 100.0
-    && o.Rwc_sim.Orchestrator.disrupted_gbit < 3000.0)
-
-let test_orchestrator_empty_plan () =
-  let rng = Rwc_stats.Rng.create 4 in
-  let o =
-    Rwc_sim.Orchestrator.execute ~rng ~upgrades:[]
-      ~residual_flow:(fun _ -> 0.0)
-      ~downtime_mean_s:68.0 ()
-  in
-  Alcotest.(check int) "no log" 0 (List.length o.Rwc_sim.Orchestrator.log);
-  Alcotest.(check (float 1e-9)) "no time" 0.0 o.Rwc_sim.Orchestrator.total_duration_s
-
-(* --- line system -------------------------------------------------------- *)
-
-let short_line = Rwc_optical.Fiber.line_of_route_km 400.0
-let long_line = Rwc_optical.Fiber.line_of_route_km 4000.0
-
-let test_grid_constants () =
-  Alcotest.(check int) "96 channels" 96 Ls.n_channels;
-  Alcotest.(check (float 1e-9)) "first frequency" 191_300.0 (Ls.frequency_ghz 0);
-  Alcotest.(check (float 1e-9)) "50 GHz spacing" 50.0
-    (Ls.frequency_ghz 1 -. Ls.frequency_ghz 0);
-  (* C band sits around 1530-1570 nm. *)
-  let wl = Ls.wavelength_nm 48 in
-  Alcotest.(check bool) (Printf.sprintf "wavelength %.1f nm in C band" wl) true
-    (wl > 1520.0 && wl < 1580.0)
-
-let test_tilt_worsens_edges () =
-  let t = Ls.create ~line:short_line () in
-  let centre = Ls.channel_osnr_db t 47 in
-  let edge = Ls.channel_osnr_db t 0 in
-  Alcotest.(check bool) "edge below centre" true (edge < centre);
-  Alcotest.(check (float 0.05)) "default tilt 1.5 dB" 1.5 (centre -. edge)
-
-let test_light_first_fit () =
-  let t = Ls.create ~line:short_line () in
-  (match Ls.light t ~gbps:100 () with
-  | Ok ch -> Alcotest.(check int) "first free channel" 0 ch
-  | Error e -> Alcotest.fail e);
-  (match Ls.light t ~gbps:100 () with
-  | Ok ch -> Alcotest.(check int) "next channel" 1 ch
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "two lit" 2 (Ls.lit_count t);
-  Alcotest.(check int) "capacity" 200 (Ls.capacity_gbps t)
-
-let test_light_explicit_channel () =
-  let t = Ls.create ~line:short_line () in
-  (match Ls.light t ~channel:40 ~gbps:200 () with
-  | Ok ch -> Alcotest.(check int) "requested channel" 40 ch
-  | Error e -> Alcotest.fail e);
-  (match Ls.light t ~channel:40 ~gbps:100 () with
-  | Ok _ -> Alcotest.fail "double lighting"
-  | Error _ -> ());
-  Alcotest.(check bool) "occupied" true (Ls.occupied t 40);
-  Alcotest.(check bool) "rate recorded" true (Ls.rate_of t 40 = Some 200)
-
-let test_light_rejects_bad_rate () =
-  let t = Ls.create ~line:short_line () in
-  match Ls.light t ~gbps:117 () with
-  | Ok _ -> Alcotest.fail "117 is not a denomination"
-  | Error _ -> ()
-
-let test_long_line_limits_rate () =
-  (* 4000 km: OSNR too low for 200G anywhere, but 100G fits. *)
-  let t = Ls.create ~line:long_line () in
-  (match Ls.light t ~gbps:200 () with
-  | Ok ch -> Alcotest.failf "200G should not fit at 4000 km (got channel %d)" ch
-  | Error _ -> ());
-  match Ls.light t ~gbps:100 () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e
-
-let test_extinguish_frees () =
-  let t = Ls.create ~line:short_line () in
-  (match Ls.light t ~channel:5 ~gbps:150 () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  (match Ls.extinguish t 5 with Ok () -> () | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "dark again" false (Ls.occupied t 5);
-  Alcotest.(check int) "capacity back to zero" 0 (Ls.capacity_gbps t);
-  match Ls.extinguish t 5 with
-  | Ok () -> Alcotest.fail "double extinguish"
-  | Error _ -> ()
-
-let test_fill_whole_band () =
-  let t = Ls.create ~line:short_line () in
-  let lit = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Ls.light t ~gbps:100 () with
-    | Ok _ -> incr lit
-    | Error _ -> continue := false
-  done;
-  Alcotest.(check int) "whole band lit" Ls.n_channels !lit;
-  Alcotest.(check int) "no free channels" 0 (List.length (Ls.free_channels t))
+(* Tests for the operational-infrastructure substrates: trace
+   persistence and the lossy telemetry collector. *)
 
 (* --- store ----------------------------------------------------------------- *)
 
@@ -279,20 +119,6 @@ let test_analysis_robust_to_loss () =
 
 let suite =
   [
-    Alcotest.test_case "orchestrator sequencing" `Quick test_orchestrator_sequencing;
-    Alcotest.test_case "orchestrator hitless when drained" `Quick
-      test_orchestrator_drained_links_lose_nothing;
-    Alcotest.test_case "orchestrator charges residual" `Quick
-      test_orchestrator_charges_residual_traffic;
-    Alcotest.test_case "orchestrator empty plan" `Quick test_orchestrator_empty_plan;
-    Alcotest.test_case "grid constants" `Quick test_grid_constants;
-    Alcotest.test_case "tilt worsens edges" `Quick test_tilt_worsens_edges;
-    Alcotest.test_case "light first fit" `Quick test_light_first_fit;
-    Alcotest.test_case "light explicit channel" `Quick test_light_explicit_channel;
-    Alcotest.test_case "light rejects bad rate" `Quick test_light_rejects_bad_rate;
-    Alcotest.test_case "long line limits rate" `Quick test_long_line_limits_rate;
-    Alcotest.test_case "extinguish frees" `Quick test_extinguish_frees;
-    Alcotest.test_case "fill whole band" `Quick test_fill_whole_band;
     Alcotest.test_case "store csv roundtrip" `Quick test_csv_roundtrip;
     Alcotest.test_case "store binary roundtrip" `Quick test_binary_roundtrip_exact;
     Alcotest.test_case "store rejects garbage" `Quick test_binary_rejects_garbage;

@@ -16,8 +16,6 @@ let () =
       ("guard", Test_guard.suite);
       ("sim", Test_sim.suite);
       ("properties", Test_properties.suite);
-      ("protect", Test_protect.suite);
-      ("swan", Test_swan.suite);
       ("infra", Test_infra.suite);
       ("obs", Test_obs.suite);
       ("perf", Test_perf.suite);

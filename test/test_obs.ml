@@ -890,7 +890,6 @@ let test_runner_metrics_match_report () =
       top_demands = 15;
       epsilon = 0.25;
       faults = Rwc_fault.none;
-      retry = Rwc_sim.Orchestrator.default_retry_policy;
       guard = Rwc_guard.none;
       rollout = Rwc_rollout.none;
       journal = Rwc_journal.disarmed;

@@ -362,7 +362,7 @@ let prop_snr_trace_bounded =
 
 let prop_backoff_monotone_and_capped =
   QCheck.Test.make
-    ~name:"orchestrator: backoff delays monotone non-decreasing and capped"
+    ~name:"retry: backoff delays monotone non-decreasing and capped"
     ~count:200
     QCheck.(
       quad (int_range 1 600) (int_range 10 40) (int_range 1 6000)
@@ -371,7 +371,7 @@ let prop_backoff_monotone_and_capped =
       (* base in [0.1, 60], factor in [1.0, 4.0], cap in [0.1, 600]. *)
       let p =
         {
-          Rwc_sim.Orchestrator.max_attempts = attempts;
+          Rwc_fault.max_attempts = attempts;
           base_s = float_of_int base10 /. 10.0;
           factor = float_of_int factor10 /. 10.0;
           cap_s = float_of_int cap10 /. 10.0;
@@ -379,14 +379,14 @@ let prop_backoff_monotone_and_capped =
       in
       let delays =
         List.init attempts (fun i ->
-            Rwc_sim.Orchestrator.backoff_delay p ~attempt:(i + 1))
+            Rwc_fault.backoff_delay p ~attempt:(i + 1))
       in
       let rec monotone = function
         | a :: (b :: _ as rest) -> a <= b && monotone rest
         | _ -> true
       in
       monotone delays
-      && List.for_all (fun d -> d > 0.0 && d <= p.Rwc_sim.Orchestrator.cap_s) delays)
+      && List.for_all (fun d -> d > 0.0 && d <= p.Rwc_fault.cap_s) delays)
 
 let bvt_fail_plan ~seed ~prob =
   {
@@ -446,59 +446,6 @@ let prop_degraded_bvt_never_active =
               && f.Rwc_optical.Bvt.attempted = targets.(i mod 3)
       done;
       !ok)
-
-let prop_orchestrator_retries_bounded =
-  QCheck.Test.make
-    ~name:"orchestrator: attempts per link never exceed max_attempts, every
-           link restored"
-    ~count:60
-    QCheck.(
-      triple (int_range 0 10_000) (int_range 0 95) (int_range 1 5))
-    (fun (seed, prob100, max_attempts) ->
-      let faults =
-        Rwc_fault.compile
-          (bvt_fail_plan ~seed ~prob:(float_of_int prob100 /. 100.0))
-      in
-      let upgrades =
-        [
-          { Rwc_core.Translate.phys_edge = 0; extra_gbps = 100.0; penalty_paid = 0.0 };
-          { Rwc_core.Translate.phys_edge = 3; extra_gbps = 50.0; penalty_paid = 0.0 };
-          { Rwc_core.Translate.phys_edge = 5; extra_gbps = 50.0; penalty_paid = 0.0 };
-        ]
-      in
-      let o =
-        Rwc_sim.Orchestrator.execute
-          ~rng:(Rwc_stats.Rng.create (seed + 1))
-          ~upgrades
-          ~residual_flow:(fun _ -> 1.0)
-          ~downtime_mean_s:68.0 ~faults
-          ~retry:
-            {
-              Rwc_sim.Orchestrator.max_attempts;
-              base_s = 1.0;
-              factor = 2.0;
-              cap_s = 10.0;
-            }
-          ()
-      in
-      let count phase edge =
-        List.length
-          (List.filter
-             (fun e ->
-               e.Rwc_sim.Orchestrator.phase = phase
-               && e.Rwc_sim.Orchestrator.phys_edge = edge)
-             o.Rwc_sim.Orchestrator.log)
-      in
-      List.for_all
-        (fun d ->
-          let e = d.Rwc_core.Translate.phys_edge in
-          count Rwc_sim.Orchestrator.Reconfigure_started e <= max_attempts
-          && count Rwc_sim.Orchestrator.Restored e = 1)
-        upgrades
-      && o.Rwc_sim.Orchestrator.retries
-         <= (max_attempts - 1) * List.length upgrades
-      && o.Rwc_sim.Orchestrator.fallbacks <= List.length upgrades
-      && o.Rwc_sim.Orchestrator.faults_injected >= o.Rwc_sim.Orchestrator.retries)
 
 let prop_fill_gaps_respects_max_fill =
   QCheck.Test.make
@@ -584,6 +531,5 @@ let suite =
       prop_snr_trace_bounded;
       prop_backoff_monotone_and_capped;
       prop_degraded_bvt_never_active;
-      prop_orchestrator_retries_bounded;
       prop_fill_gaps_respects_max_fill;
     ]

@@ -139,7 +139,6 @@ let fast_config =
     top_demands = 20;
     epsilon = 0.2;
     faults = Rwc_fault.none;
-    retry = Orchestrator.default_retry_policy;
     guard = Rwc_guard.none;
     rollout = Rwc_rollout.none;
     journal = Rwc_journal.disarmed;
@@ -418,6 +417,61 @@ let chaos_plan =
       ];
   }
 
+(* Walk a journal's BVT retry chains.  Per link, a chain is attempt
+   1's outcome (Committed, Failed or Timed_out), each failure followed
+   by Retried and the next attempt or — at the last attempt only — by
+   Fell_back; the next record on the link after Committed or Fell_back
+   is the chain's one commit.  Only a chain the run's horizon cuts may
+   stay open.  Returns the (Retried, Fell_back) counts. *)
+let check_retry_chains ~max_attempts records =
+  let open Rwc_journal in
+  let state = Hashtbl.create 64 in
+  let retried = ref 0 and fell_back = ref 0 in
+  let fail r fmt =
+    Printf.ksprintf
+      (fun m -> Alcotest.failf "link %d at t=%.0f: %s" r.link r.t m)
+      fmt
+  in
+  List.iter
+    (fun r ->
+      let st = Option.value (Hashtbl.find_opt state r.link) ~default:`Idle in
+      let next =
+        match (r.kind, st) with
+        | Fault { attempt; _ }, _ when attempt < 1 || attempt > max_attempts ->
+            fail r "attempt %d outside 1..%d" attempt max_attempts
+        | Fault { outcome = Stuck; _ }, _ -> st
+        | Fault { outcome = Committed | Failed | Timed_out as o; attempt }, st
+          -> (
+            (match st with
+            | `Idle when attempt = 1 -> ()
+            | `Retrying n when attempt = n + 1 -> ()
+            | _ -> fail r "attempt %d out of sequence" attempt);
+            match o with Committed -> `Closing | _ -> `Failed attempt)
+        | Fault { outcome = Retried; attempt }, `Failed n when attempt = n ->
+            if attempt = max_attempts then fail r "retried at the last attempt";
+            incr retried;
+            `Retrying attempt
+        | Fault { outcome = Fell_back; attempt }, `Failed n when attempt = n ->
+            if attempt <> max_attempts then
+              fail r "fell back at attempt %d of %d" attempt max_attempts;
+            incr fell_back;
+            `Closing
+        | Fault { outcome; attempt }, _ ->
+            fail r "%s at attempt %d out of sequence" (outcome_name outcome)
+              attempt
+        | Commit _, (`Failed _ | `Retrying _) -> fail r "commit inside a chain"
+        | Commit _, _ -> `Idle
+        | _, `Closing -> fail r "chain not closed by a commit"
+        | _ -> st
+      in
+      Hashtbl.replace state r.link next)
+    records;
+  Hashtbl.iter
+    (fun link st ->
+      if st = `Closing then Alcotest.failf "link %d: chain never committed" link)
+    state;
+  (!retried, !fell_back)
+
 let test_chaos_run_consistent () =
   let metrics_were = Rwc_obs.Metrics.enabled () in
   Rwc_obs.Metrics.enable ();
@@ -430,14 +484,23 @@ let test_chaos_run_consistent () =
   let base_fallbacks = Rwc_obs.Metrics.value m_fallbacks in
   let base_flaps = Rwc_obs.Metrics.value m_flaps in
   let baseline = Runner.run ~config:fast_config (Runner.Adaptive Runner.Efficient) in
-  let r =
+  let path = Filename.temp_file "rwc_chaos" ".jsonl" in
+  let r, records =
     Fun.protect
       ~finally:(fun () ->
+        Sys.remove path;
         if not metrics_were then Rwc_obs.Metrics.disable ())
       (fun () ->
-        Runner.run
-          ~config:{ fast_config with faults = chaos_plan }
-          (Runner.Adaptive Runner.Efficient))
+        let journal = Rwc_journal.create ~path () in
+        let r =
+          Runner.run
+            ~config:{ fast_config with faults = chaos_plan; journal }
+            (Runner.Adaptive Runner.Efficient)
+        in
+        Rwc_journal.close journal;
+        match Rwc_journal.read_file ~strict:true path with
+        | Ok (records, _) -> (r, records)
+        | Error e -> Alcotest.fail e)
   in
   match r.Runner.fault_stats with
   | None -> Alcotest.fail "armed plan must produce fault stats"
@@ -468,82 +531,13 @@ let test_chaos_run_consistent () =
          >= fs.Runner.fallbacks);
       Alcotest.(check bool) "degraded links still end somewhere valid" true
         (r.Runner.delivered_pbit > 0.0
-        && r.Runner.delivered_pbit <= r.Runner.offered_pbit +. 1e-6)
-
-(* --- orchestrator: quiescence replaces the fixed-horizon heuristic -------- *)
-
-let test_orchestrator_outlives_old_horizon () =
-  (* Adversarial seed: with a 0.999 BVT failure rate and heavy backoff
-     the retry chains run far past the old `n * (drain + 50 * (mean +
-     1)) + 1` heuristic horizon that execute() used before it ran the
-     DES to quiescence.  Under the old code this log would have been
-     silently truncated mid-plan. *)
-  let faults =
-    Rwc_fault.compile
-      {
-        Rwc_fault.seed = 5;
-        rules =
-          [
-            { Rwc_fault.component = Rwc_fault.Bvt_reconfig;
-              prob = 0.999; param = 0.0; window = None };
-          ];
-      }
-  in
-  let upgrades =
-    [
-      { Rwc_core.Translate.phys_edge = 0; extra_gbps = 100.0; penalty_paid = 0.0 };
-      { Rwc_core.Translate.phys_edge = 3; extra_gbps = 50.0; penalty_paid = 0.0 };
-    ]
-  in
-  let downtime_mean_s = 68.0 and drain_s = 30.0 in
-  let retry =
-    { Orchestrator.max_attempts = 6; base_s = 600.0; factor = 2.0; cap_s = 3600.0 }
-  in
-  let o =
-    Orchestrator.execute
-      ~rng:(Rwc_stats.Rng.create 9)
-      ~upgrades
-      ~residual_flow:(fun _ -> 1.0)
-      ~downtime_mean_s ~drain_s ~faults ~retry ()
-  in
-  let old_horizon =
-    (float_of_int (List.length upgrades)
-    *. (drain_s +. (50.0 *. (downtime_mean_s +. 1.0))))
-    +. 1.0
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "duration %.0fs outlives old horizon %.0fs"
-       o.Orchestrator.total_duration_s old_horizon)
-    true
-    (o.Orchestrator.total_duration_s > old_horizon);
-  (* Nothing was truncated: every link completed its sequence. *)
-  let restored =
-    List.filter (fun e -> e.Orchestrator.phase = Orchestrator.Restored)
-      o.Orchestrator.log
-  in
-  Alcotest.(check int) "every link restored" (List.length upgrades)
-    (List.length restored);
-  Alcotest.(check bool) "fallbacks happened" true (o.Orchestrator.fallbacks > 0);
-  Alcotest.(check bool) "retries happened" true (o.Orchestrator.retries > 0);
-  (* A fallback restores immediately: the BVT never committed, so the
-     pre-upgrade modulation is already live. *)
-  let rec check_fallback_pairs = function
-    | a :: (b :: _ as rest) ->
-        if a.Orchestrator.phase = Orchestrator.Fallback_started then begin
-          Alcotest.(check bool) "fallback then restore" true
-            (b.Orchestrator.phase = Orchestrator.Restored
-            && b.Orchestrator.phys_edge = a.Orchestrator.phys_edge);
-          Alcotest.(check (float 1e-9)) "restore is immediate"
-            a.Orchestrator.time_s b.Orchestrator.time_s
-        end;
-        check_fallback_pairs rest
-    | _ -> ()
-  in
-  check_fallback_pairs o.Orchestrator.log;
-  (* Attempts are bounded even under a near-certain failure rate. *)
-  Alcotest.(check bool) "attempts bounded" true
-    (o.Orchestrator.reconfigurations
-    <= retry.Orchestrator.max_attempts * List.length upgrades)
+        && r.Runner.delivered_pbit <= r.Runner.offered_pbit +. 1e-6);
+      (* The journal shows every retry chain bounded by the runner's 4
+         attempts, and the report counts the same retries and fallbacks. *)
+      let retried, fell_back = check_retry_chains ~max_attempts:4 records in
+      Alcotest.(check int) "journal retries = report" fs.Runner.retries retried;
+      Alcotest.(check int) "journal fallbacks = report" fs.Runner.fallbacks
+        fell_back
 
 let suite =
   [
@@ -580,6 +574,4 @@ let suite =
     Alcotest.test_case "guarded chaos no worse" `Slow
       test_guarded_chaos_no_worse;
     Alcotest.test_case "chaos counters consistent" `Slow test_chaos_run_consistent;
-    Alcotest.test_case "orchestrator outlives old horizon" `Quick
-      test_orchestrator_outlives_old_horizon;
   ]
