@@ -18,10 +18,10 @@ echo "== dune build @all (warnings fatal in every lib/*) =="
 dune build @all
 
 echo "== reachability: every lib/ module is named outside the tests =="
-# A lib/ module that no .ml under lib/, bin/, bench/, benchmark/ or
-# examples/ names, apart from its own files, is code only its tests
-# run: delete it rather than keep it building.  An example counts as a
-# caller because the next step runs every example.  Allowed:
+# A lib/ module that no .ml under lib/, bin/, benchmark/ or examples/
+# names, apart from its own files, is code only its tests run: delete
+# it rather than keep it building.  An example counts as a caller
+# because the next step runs every example.  Allowed:
 # Push_relabel and Cycle_cancel, the independent max-flow and min-cost
 # solvers that test_flow checks Maxflow and Mincost against
 # (differential oracles).
@@ -32,7 +32,7 @@ for ML in lib/*/*.ml; do
   case "$MOD" in
     Push_relabel | Cycle_cancel) continue ;;
   esac
-  if ! grep -rlw --include='*.ml' "$MOD" lib bin bench benchmark examples \
+  if ! grep -rlw --include='*.ml' "$MOD" lib bin benchmark examples \
     | grep -qvx "$ML"; then
     ORPHANS="$ORPHANS $MOD"
   fi
@@ -342,8 +342,8 @@ grep -q '\[rolled-back\] rolled-back' "$ROLL_EXPLAIN"
 rm -f "$ROLL_EXPLAIN"
 rm -rf "$ROLL_DIR"
 
-echo "== obs overhead gate: bench --obs-only (ns budgets) =="
-dune exec bench/main.exe -- --obs-only
+echo "== obs overhead gate: rwc perf overhead (ns budgets) =="
+dune exec bin/rwc.exe -- perf overhead
 
 echo "== perf gate: quick sweep vs committed BENCH_baseline.json =="
 # Same deterministic workload that produced the committed baseline

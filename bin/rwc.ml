@@ -237,7 +237,10 @@ let only_arg =
     value
     & opt_all string []
     & info [ "only" ] ~docv:"ID"
-        ~doc:"Reproduce only this figure (repeatable). Known ids: fig1-fig8, thm1, sim.")
+        ~doc:
+          ("Reproduce only this figure (repeatable). Known ids: "
+          ^ String.concat ", " Rwc_figures.Paper_figs.ids
+          ^ "."))
 
 let sim_days_arg =
   Arg.(
@@ -2079,10 +2082,23 @@ let perf_diff_cmd =
       const run_perf_diff $ perf_old_arg $ perf_new_arg $ perf_ci_flag
       $ perf_cross_domains_flag)
 
+let run_perf_overhead () =
+  Rwc_figures.Report.section "obs" "Observability overhead";
+  if not (Rwc_sim.Overhead.run ()) then exit 1
+
+let perf_overhead_cmd =
+  Cmd.v
+    (Cmd.info "overhead"
+       ~doc:
+         "Time the disabled metrics, disarmed journal and disarmed profiler \
+          paths against an empty loop; exits 1 when any costs 5 ns/op or \
+          more")
+    Term.(const run_perf_overhead $ const ())
+
 let perf_cmd =
   Cmd.group
     (Cmd.info "perf" ~doc:"Perf-trajectory tooling (see also $(b,rwc bench))")
-    [ perf_diff_cmd ]
+    [ perf_diff_cmd; perf_overhead_cmd ]
 
 (* ---- fsck -------------------------------------------------------------- *)
 

@@ -15,8 +15,8 @@ module Graph = Rwc_flow.Graph
 module Adapt = Rwc_core.Adapt
 module Availability = Rwc_core.Availability
 
-let section = Rwc_figures.Report.section
-let note = Rwc_figures.Report.note
+let section = Report.section
+let note = Report.note
 
 (* --- A1: hysteresis ---------------------------------------------------- *)
 
@@ -211,10 +211,3 @@ let granularity () =
     [ 0.0; 0.5; 0.9; 1.0 ];
   note "  (wavelengths of one cable move together - paper Fig. 1 - so the";
   note "   simple per-duct controller captures nearly all of the capacity)"
-
-let run () =
-  hysteresis ();
-  penalties ();
-  epsilon ();
-  te_algorithms ();
-  granularity ()

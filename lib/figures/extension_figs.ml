@@ -7,8 +7,8 @@
    E2. Europe backbone: the headline throughput comparison replayed on
        a second topology, checking nothing is NA-specific. *)
 
-let note = Rwc_figures.Report.note
-let section = Rwc_figures.Report.section
+let note = Report.note
+let section = Report.section
 
 let detection () =
   section "ext-E1" "early-warning detection delay vs degradation depth";
@@ -63,17 +63,6 @@ let detection () =
 
 let europe () =
   section "ext-E2" "throughput comparison on the Europe backbone";
-  let config =
-    {
-      Rwc_sim.Runner.default_config with
-      Rwc_sim.Runner.days = 10.0;
-      top_demands = 24;
-    }
-  in
-  (* Runner is NA-specific in its backbone choice; replicate its core
-     comparison statically here: max-concurrent TE on static vs
-     adaptive capacities. *)
-  ignore config;
   let bb = Rwc_topology.Backbone.europe in
   let net = Rwc_sim.Netstate.make ~seed:12 bb in
   let g = Rwc_sim.Netstate.graph net in
@@ -93,7 +82,7 @@ let europe () =
           e.Rwc_flow.Graph.tag ))
   in
   let adaptive = Rwc_core.Te.mcf ~epsilon:0.12 adaptive_graph commodities in
-  Rwc_figures.Report.row ~label:"throughput gain on Europe"
+  Report.row ~label:"throughput gain on Europe"
     ~paper:"75-100% (NA result should transfer)"
     ~measured:
       (Printf.sprintf "+%.0f%% (%.0f -> %.0f Gbps)"
@@ -101,53 +90,3 @@ let europe () =
          *. ((adaptive.Rwc_core.Te.total_gbps /. static.Rwc_core.Te.total_gbps)
             -. 1.0))
          static.Rwc_core.Te.total_gbps adaptive.Rwc_core.Te.total_gbps)
-
-(* --- E3: protection overhead ------------------------------------------ *)
-
-let protection () =
-  section "ext-E3" "protection overhead: disjoint path pairs on the backbone";
-  let bb = Rwc_topology.Backbone.north_america in
-  let g =
-    Rwc_topology.Backbone.to_graph bb
-      ~capacity_of:(fun _ -> 400.0)
-      ~cost_of:(fun d -> d.Rwc_topology.Backbone.route_km)
-  in
-  let n = Rwc_topology.Backbone.n_cities bb in
-  let pairs = ref 0 and protected_pairs = ref 0 in
-  let overheads = ref [] in
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      if src < dst then begin
-        incr pairs;
-        match Rwc_flow.Disjoint.shortest_pair g ~src ~dst with
-        | None -> ()
-        | Some pair ->
-            incr protected_pairs;
-            let primary =
-              Rwc_flow.Shortest.path_cost g pair.Rwc_flow.Disjoint.primary
-            in
-            let backup =
-              Rwc_flow.Shortest.path_cost g pair.Rwc_flow.Disjoint.backup
-            in
-            overheads := (backup /. primary) :: !overheads
-      end
-    done
-  done;
-  let o = Array.of_list !overheads in
-  note
-    (Printf.sprintf "  %d of %d city pairs have an edge-disjoint backup path"
-       !protected_pairs !pairs);
-  note
-    (Printf.sprintf
-       "  backup/primary fiber-length ratio: mean %.2f  p50 %.2f  p90 %.2f"
-       (Rwc_stats.Summary.mean o)
-       (Rwc_stats.Summary.percentile o 50.0)
-       (Rwc_stats.Summary.percentile o 90.0));
-  note "  (hours-long failures - Fig. 3b - are survivable for any pair at the";
-  note "   cost of the longer standby route; crawling beats switching when the";
-  note "   degraded link still carries 50 Gbps)"
-
-let run () =
-  detection ();
-  europe ();
-  protection ()

@@ -1,5 +1,17 @@
+let extras =
+  [
+    ("ablation-A1", Ablation_figs.hysteresis);
+    ("ablation-A2", Ablation_figs.penalties);
+    ("ablation-A3", Ablation_figs.epsilon);
+    ("ablation-A4", Ablation_figs.te_algorithms);
+    ("ablation-A5", Ablation_figs.granularity);
+    ("ext-E1", Extension_figs.detection);
+    ("ext-E2", Extension_figs.europe);
+  ]
+
 let ids =
   [ "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "thm1"; "sim" ]
+  @ List.map fst extras
 
 let fleet ~full =
   let open Rwc_telemetry.Fleet in
@@ -20,9 +32,13 @@ let run ?(only = []) ~fleet ~sim_days () =
   if wants "fig7" then Abstraction_figs.fig7 ();
   if wants "fig8" then Abstraction_figs.fig8 ();
   if wants "thm1" then Abstraction_figs.theorem1 ~seed:44;
-  if wants "sim" then
-    Some
-      (Sim_figs.run
-         ~config:{ Rwc_sim.Runner.default_config with Rwc_sim.Runner.days = sim_days }
-         ())
-  else None
+  let sim =
+    if wants "sim" then
+      Some
+        (Sim_figs.run
+           ~config:{ Rwc_sim.Runner.default_config with Rwc_sim.Runner.days = sim_days }
+           ())
+    else None
+  in
+  List.iter (fun (id, f) -> if wants id then f ()) extras;
+  sim

@@ -1,16 +1,16 @@
 (** The paper's whole figure sequence, in one place: Figures 1-8,
-    Theorem 1 and the end-to-end simulation, with the seeds, fleet
-    scale and simulation horizon every reproduction uses.  Both
-    [rwc figures] and [bench/main.exe] run it, so their sections are
-    the same bytes. *)
+    Theorem 1 and the end-to-end simulation, then the ablations and
+    extensions, with the seeds, fleet scale and simulation horizon
+    every reproduction uses.  [rwc figures] runs it. *)
 
 val ids : string list
 (** Figure ids in the order {!run} reproduces them: [fig1] to [fig8],
-    [thm1] and [sim]. *)
+    [thm1], [sim], [ablation-A1] to [ablation-A5], [ext-E1] and
+    [ext-E2]. *)
 
 val fleet : full:bool -> Rwc_telemetry.Fleet.t
 (** The paper's 2000-link fleet when [full], else a fifth of it (400
-    links). *)
+    links).  Only [fig1] to [fig4] read it. *)
 
 val default_sim_days : full:bool -> float
 (** Horizon of the [sim] figure: the paper's 60 days when [full], else

@@ -2,7 +2,7 @@
 
     Each experiment prints a section with the paper's reported value
     next to the value measured from our generated data, so the output
-    of [bench/main.exe] doubles as the EXPERIMENTS.md comparison
+    of [rwc figures] doubles as the EXPERIMENTS.md comparison
     table. *)
 
 val section : string -> string -> unit

@@ -912,7 +912,7 @@ let finish_run t =
 
 (* Each emitter checks the armed flag before building its record, so
    the disarmed path is a call, a load and a branch — the same budget
-   as a disabled metric increment (bench/obs_bench.ml pins it). *)
+   as a disabled metric increment (rwc perf overhead pins it). *)
 
 let observe t ~link ~now ~snr_db ~fresh =
   if t.sink_armed then

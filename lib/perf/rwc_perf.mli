@@ -10,7 +10,7 @@
     Like the metrics registry, the profiler is {b disarmed by
     default}: every hook first checks one global flag, and the
     disarmed path is a load and a branch (pinned, together with the
-    metrics path, by [bench --obs-only]).  Production simulation runs
+    metrics path, by [rwc perf overhead]).  Production simulation runs
     therefore stay instrumented permanently at no cost, and outputs
     are byte-identical with profiling on or off.
 

@@ -78,7 +78,7 @@ let generate_correlated rng p ~n_lambdas ~correlation ~years =
   assert (correlation >= 0.0 && correlation <= 1.0);
   assert (years > 0.0);
   let n = int_of_float (ceil (years *. float_of_int samples_per_year)) in
-  (* Decompose the wander variance: a shared cable component carrying
+  (* Split the wander variance: a shared cable component carrying
      [correlation] of it and per-wavelength components carrying the
      rest, so each wavelength's marginal process matches [p.wander]. *)
   let shared_sigma = p.wander.Rwc_stats.Timeseries.sigma *. sqrt correlation in

@@ -1,7 +1,7 @@
 (* Integration tests of the figure-reproduction drivers: run each with
    stdout parked on /dev/null and assert the returned headlines sit in
-   the calibration bands.  This is the same code path `bench/main.exe`
-   and `rwc figures` execute. *)
+   the calibration bands.  This is the same code path `rwc figures`
+   executes. *)
 
 let quiet f =
   (* Park stdout on /dev/null for the duration of [f]. *)
@@ -62,14 +62,24 @@ let test_fig6_headlines () =
     && h.Rwc_figures.Testbed_figs.efficient_mean_s < 0.045)
 
 let test_fig1_3_5_7_8_run () =
-  (* Smoke: the remaining drivers complete without raising. *)
+  (* Smoke: the remaining drivers, ablations and extensions complete
+     without raising. *)
   quiet (fun () ->
       Rwc_figures.Measurement_figs.fig1 tiny_fleet;
       Rwc_figures.Measurement_figs.fig3 tiny_fleet;
       Rwc_figures.Testbed_figs.fig5 ~seed:42;
       Rwc_figures.Abstraction_figs.fig7 ();
       Rwc_figures.Abstraction_figs.fig8 ();
-      Rwc_figures.Abstraction_figs.theorem1 ~seed:44)
+      Rwc_figures.Abstraction_figs.theorem1 ~seed:44;
+      ignore
+        (Rwc_figures.Paper_figs.run
+           ~only:
+             [
+               "ablation-A1"; "ablation-A2"; "ablation-A3"; "ablation-A4";
+               "ablation-A5"; "ext-E1"; "ext-E2";
+             ]
+           ~fleet:tiny_fleet ~sim_days:4.0 ()
+          : Rwc_figures.Sim_figs.headlines option))
 
 let test_sim_headlines () =
   let h =

@@ -230,37 +230,6 @@ let test_yen_k_larger_than_paths () =
   let paths = Shortest.k_shortest g ~src:0 ~dst:1 ~k:5 in
   Alcotest.(check int) "only one exists" 1 (List.length paths)
 
-(* --- decompose ------------------------------------------------------ *)
-
-let test_decompose_total () =
-  let g, _ = diamond () in
-  let r = Maxflow.solve g ~src:0 ~dst:3 in
-  let wps = Decompose.paths g ~src:0 ~dst:3 r.Maxflow.flow in
-  Alcotest.(check (float 1e-5)) "amounts sum to value" r.Maxflow.value
-    (Decompose.value wps);
-  List.iter
-    (fun wp ->
-      let p = wp.Decompose.path in
-      (* Path is connected and starts/ends correctly. *)
-      let first = Graph.edge g (List.hd p) in
-      Alcotest.(check int) "starts at src" 0 first.Graph.src;
-      let rec walk = function
-        | [ last ] ->
-            Alcotest.(check int) "ends at dst" 3 (Graph.edge g last).Graph.dst
-        | a :: (b :: _ as rest) ->
-            Alcotest.(check int) "connected"
-              (Graph.edge g a).Graph.dst (Graph.edge g b).Graph.src;
-            walk rest
-        | [] -> Alcotest.fail "empty path"
-      in
-      walk p)
-    wps
-
-let test_decompose_zero_flow () =
-  let g, _ = diamond () in
-  let wps = Decompose.paths g ~src:0 ~dst:3 (Array.make 5 0.0) in
-  Alcotest.(check int) "no paths" 0 (List.length wps)
-
 (* --- multicommodity ------------------------------------------------- *)
 
 let test_gk_single_commodity_matches_maxflow () =
@@ -699,15 +668,6 @@ let prop_mincost_agrees_with_cycle_cancel =
       Float.abs (a.Mincost.value -. b.Mincost.value) < 1e-5
       && Float.abs (a.Mincost.cost -. b.Mincost.cost) < 1e-4)
 
-let prop_decompose_covers_value =
-  QCheck.Test.make ~name:"decompose: path amounts sum to flow value"
-    ~count:200 arbitrary_graph (fun spec ->
-      let g = build_random spec in
-      let src = 0 and dst = Graph.n_vertices g - 1 in
-      let r = Maxflow.solve g ~src ~dst in
-      let wps = Decompose.paths g ~src ~dst r.Maxflow.flow in
-      Float.abs (Decompose.value wps -. r.Maxflow.value) < 1e-4)
-
 let prop_dijkstra_matches_bellman_ford =
   QCheck.Test.make ~name:"dijkstra = bellman-ford on non-negative costs"
     ~count:200 arbitrary_graph (fun spec ->
@@ -784,7 +744,6 @@ let props =
       prop_maxflow_valid;
       prop_mincost_value_is_maxflow;
       prop_mincost_agrees_with_cycle_cancel;
-      prop_decompose_covers_value;
       prop_dijkstra_matches_bellman_ford;
       prop_workspace_reuse;
       prop_yen_sorted_and_loopless;
@@ -815,8 +774,6 @@ let suite =
     Alcotest.test_case "bellman-ford negative cycle" `Quick test_bellman_ford_negative_cycle;
     Alcotest.test_case "yen 3 paths" `Quick test_yen_k_shortest;
     Alcotest.test_case "yen k too large" `Quick test_yen_k_larger_than_paths;
-    Alcotest.test_case "decompose total" `Quick test_decompose_total;
-    Alcotest.test_case "decompose zero" `Quick test_decompose_zero_flow;
     Alcotest.test_case "gk single = maxflow" `Quick test_gk_single_commodity_matches_maxflow;
     Alcotest.test_case "gk shared bottleneck" `Quick test_gk_two_commodities_share;
     Alcotest.test_case "gk feasible demands" `Quick test_gk_feasible_demands;

@@ -5,7 +5,6 @@ let () =
       ("stats", Test_stats.suite);
       ("streaming", Test_streaming.suite);
       ("flow", Test_flow.suite);
-      ("disjoint", Test_disjoint.suite);
       ("optical", Test_optical.suite);
       ("telemetry", Test_telemetry.suite);
       ("detect", Test_detect.suite);

@@ -539,6 +539,85 @@ let test_chaos_run_consistent () =
       Alcotest.(check int) "journal fallbacks = report" fs.Runner.fallbacks
         fell_back
 
+(* --- lambda-granular simulation ------------------------------------------ *)
+
+let test_lambda_sim_high_correlation_close () =
+  (* At the paper's Fig. 1 correlation (~wavelengths in lockstep), the
+     simple per-duct controller captures almost all the capacity. *)
+  let per_lambda, per_duct =
+    Rwc_sim.Lambda_sim.compare_granularities ~seed:5 ~baseline_db:14.0
+      ~n_lambdas:8 ~correlation:0.9 ~years:0.5 ()
+  in
+  let ratio =
+    per_duct.Rwc_sim.Lambda_sim.mean_capacity_gbps
+    /. per_lambda.Rwc_sim.Lambda_sim.mean_capacity_gbps
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "per-duct captures %.1f%%" (100.0 *. ratio))
+    true (ratio > 0.9);
+  Alcotest.(check bool) "per-wavelength never worse" true (ratio <= 1.0 +. 1e-9)
+
+let test_lambda_sim_low_correlation_gap () =
+  (* With independent wavelengths the worst-of-N tracking costs more. *)
+  let hi_l, hi_d =
+    Rwc_sim.Lambda_sim.compare_granularities ~seed:6 ~baseline_db:14.0
+      ~n_lambdas:8 ~correlation:0.95 ~years:0.5 ()
+  in
+  let lo_l, lo_d =
+    Rwc_sim.Lambda_sim.compare_granularities ~seed:6 ~baseline_db:14.0
+      ~n_lambdas:8 ~correlation:0.0 ~years:0.5 ()
+  in
+  let gap (l, d) =
+    1.0
+    -. (d.Rwc_sim.Lambda_sim.mean_capacity_gbps
+       /. l.Rwc_sim.Lambda_sim.mean_capacity_gbps)
+  in
+  Alcotest.(check bool) "gap grows as correlation drops" true
+    (gap (lo_l, lo_d) >= gap (hi_l, hi_d) -. 0.01)
+
+let test_lambda_sim_capacity_bounds () =
+  let o =
+    Rwc_sim.Lambda_sim.simulate ~seed:7 ~baseline_db:16.0 ~n_lambdas:4
+      ~correlation:0.8 ~years:0.2 Rwc_sim.Lambda_sim.Per_wavelength
+  in
+  Alcotest.(check bool) "within hardware bounds" true
+    (o.Rwc_sim.Lambda_sim.mean_capacity_gbps >= 0.0
+    && o.Rwc_sim.Lambda_sim.mean_capacity_gbps <= 4.0 *. 200.0);
+  Alcotest.(check int) "wavelength count" 4 o.Rwc_sim.Lambda_sim.wavelength_count
+
+let test_correlated_generation_shape () =
+  let p = Rwc_telemetry.Snr_model.default_params ~baseline_db:15.0 () in
+  let traces =
+    Rwc_telemetry.Snr_model.generate_correlated
+      (Rwc_stats.Rng.create 8)
+      p ~n_lambdas:5 ~correlation:0.7 ~years:0.1
+  in
+  Alcotest.(check int) "five traces" 5 (Array.length traces);
+  let n = Array.length traces.(0) in
+  Array.iter
+    (fun t -> Alcotest.(check int) "same length" n (Array.length t))
+    traces;
+  Array.iter
+    (Array.iter (fun v -> Alcotest.(check bool) "non-negative" true (v >= 0.0)))
+    traces
+
+let test_correlated_more_similar_when_correlated () =
+  let p = Rwc_telemetry.Snr_model.default_params ~baseline_db:15.0 () in
+  let mean_abs_diff correlation =
+    let traces =
+      Rwc_telemetry.Snr_model.generate_correlated
+        (Rwc_stats.Rng.create 9)
+        p ~n_lambdas:2 ~correlation ~years:0.2
+    in
+    let total = ref 0.0 in
+    Array.iteri
+      (fun i v -> total := !total +. Float.abs (v -. traces.(1).(i)))
+      traces.(0);
+    !total /. float_of_int (Array.length traces.(0))
+  in
+  Alcotest.(check bool) "correlation tightens wavelengths" true
+    (mean_abs_diff 0.95 < mean_abs_diff 0.0)
+
 let suite =
   [
     Alcotest.test_case "queue ordering" `Quick test_queue_ordering;
@@ -552,6 +631,14 @@ let suite =
     Alcotest.test_case "netstate graph shape" `Quick test_netstate_graph_shape;
     Alcotest.test_case "netstate down capacity" `Quick test_netstate_down_zero_capacity;
     Alcotest.test_case "netstate headroom" `Quick test_netstate_headroom;
+    Alcotest.test_case "lambda sim: high correlation" `Quick
+      test_lambda_sim_high_correlation_close;
+    Alcotest.test_case "lambda sim: low correlation gap" `Quick
+      test_lambda_sim_low_correlation_gap;
+    Alcotest.test_case "lambda sim: capacity bounds" `Quick test_lambda_sim_capacity_bounds;
+    Alcotest.test_case "correlated generation shape" `Quick test_correlated_generation_shape;
+    Alcotest.test_case "correlated similarity" `Quick
+      test_correlated_more_similar_when_correlated;
     Alcotest.test_case "runner static-100" `Slow test_runner_static_100_baseline;
     Alcotest.test_case "runner adaptive throughput gain" `Slow
       test_runner_adaptive_beats_static_throughput;
